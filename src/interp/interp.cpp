@@ -259,9 +259,13 @@ class Eval {
                             const std::vector<std::uint8_t>& lifted,
                             const ValueList& args, const TypePtr& type) {
     if (depth == 0) return apply_prim(op, args, type);
-    // The element type annotation for kEmptyFrame at depth d is the
-    // annotation with d Seq wrappers removed.
+    // The type of one element application is the call's type with its d
+    // Seq wrappers (one per frame level) removed.
     TypePtr elem_type = type;
+    for (int k = 0; k < depth && elem_type != nullptr && elem_type->is_seq();
+         ++k) {
+      elem_type = elem_type->elem();
+    }
     return map_depth(depth, lifted, args, [&](const ValueList& sub) {
       return apply_prim(op, sub, elem_type);
     });
@@ -430,7 +434,12 @@ class Eval {
       case Prim::kSum: {
         const ValueList& v = a[0].as_seq();
         stats_.scalar_ops += v.size();
-        if (!v.empty() && v.front().is_real()) {
+        // The checked result type decides, so sum of an empty seq(real)
+        // is 0.0, not 0; untyped trees fall back to the first element.
+        const bool real = type != nullptr
+                              ? type->kind() == lang::TypeKind::kReal
+                              : !v.empty() && v.front().is_real();
+        if (real) {
           Real acc = 0;
           for (const Value& x : v) acc += x.as_real();
           return Value::reals(acc);

@@ -19,11 +19,13 @@ namespace {
 
 [[noreturn]] void eval_fail(const std::string& msg) { throw EvalError(msg); }
 
+[[noreturn]] void index_fail(Int i, Size n) {
+  eval_fail("seq_index: index " + std::to_string(i) +
+            " out of range for sequence of length " + std::to_string(n));
+}
+
 Int checked_index0(Int i, Size n) {
-  if (i < 1 || i > n) {
-    eval_fail("seq_index: index " + std::to_string(i) +
-              " out of range for sequence of length " + std::to_string(n));
-  }
+  if (i < 1 || i > n) index_fail(i, n);
   return i - 1;
 }
 
@@ -243,65 +245,106 @@ Array ew_binary(Prim op, const Array& a, const Array& b) {
 }
 
 // --- depth-1 sequence kernels ---------------------------------------------------
+//
+// Each is one loop over the frame's segment descriptor (seq::gather_mapped
+// for the data movement), with its index checks folded in: the first bad
+// index, in order, is reported after the loop on every backend.
 
-/// Non-negative clamp of per-slot counts ([1..n] is empty when n < 1).
-IntVec clamp_counts(const IntVec& counts) {
-  BoolVec negative = vl::lt(counts, Int{0});
-  return vl::select(negative, IntVec(counts.size(), Int{0}), counts);
-}
+using vl::detail::kNoFailure;
+using vl::detail::parallel_first_failure;
+using vl::detail::parallel_for;
+using vl::detail::segment_starts;
 
-void check_index_frame(const IntVec& idx, const IntVec& limits) {
-  if (idx.empty()) return;
-  BoolVec ok = vl::logical_and(vl::ge(idx, Int{1}), vl::le(idx, limits));
-  if (!vl::all(ok)) {
-    for (Size k = 0; k < idx.size(); ++k) {
-      if (idx[k] < 1 || idx[k] > limits[k]) {
-        eval_fail("seq_index: index " + std::to_string(idx[k]) +
-                  " out of range for sequence of length " +
-                  std::to_string(limits[k]));
-      }
-    }
+/// The nested Int frame whose slot s is first(s), first(s)+1, ... with
+/// len(s) elements (none when len(s) < 1): range1^1 and range^1.
+template <typename Len, typename First>
+Array ranges(Size nseg, Len&& len, First&& first) {
+  IntVec lens(nseg);
+  IntVec starts(nseg);
+  Int* lp = lens.data();
+  Int* sp = starts.data();
+  Int total = 0;
+  for (Size s = 0; s < nseg; ++s) {
+    const Int n = len(s);
+    lp[s] = n < 0 ? 0 : n;
+    sp[s] = total;
+    total += lp[s];
   }
+  IntVec values(total);
+  Int* vp = values.data();
+  parallel_for(nseg, [&](Size s) {
+    const Int base = first(s);
+    Int* to = vp + sp[s];
+    const Int count = lp[s];
+    for (Int r = 0; r < count; ++r) to[r] = base + r;
+  });
+  vl::stats().record(total);
+  vl::stats().record_segments(nseg);
+  return Array::nested(std::move(lens), Array::ints(std::move(values)));
 }
 
 Array range1_1(const Array& ns) {
-  const IntVec& raw = ns.int_values();
-  IntVec lens = clamp_counts(raw);
-  return Array::nested(std::move(lens), Array::ints(vl::seg_iota1(raw)));
+  const Int* np = ns.int_values().data();
+  return ranges(
+      ns.length(), [np](Size s) { return np[s]; },
+      [](Size) { return Int{1}; });
 }
 
 Array range_1(const Array& lo, const Array& hi) {
   const IntVec& l = lo.int_values();
   const IntVec& h = hi.int_values();
-  IntVec span = vl::add(vl::sub(h, l), Int{1});
-  IntVec lens = clamp_counts(span);
-  // value at 1-origin rank r within slot s is l[s] + r - 1
-  IntVec ranks = vl::segment_ranks(lens);
-  IntVec base = vl::seg_dist(l, lens);
-  IntVec values = vl::sub(vl::add(base, ranks), Int{1});
-  return Array::nested(std::move(lens), Array::ints(std::move(values)));
+  vl::require_same_length(h, l, "sub");
+  const Int* lp = l.data();
+  const Int* hp = h.data();
+  return ranges(
+      l.size(), [lp, hp](Size s) { return hp[s] - lp[s] + 1; },
+      [lp](Size s) { return lp[s]; });
 }
 
 Array dist_1(const Array& values, const Array& counts) {
-  IntVec lens = clamp_counts(counts.int_values());
-  return Array::nested(lens, seq::seg_broadcast(values, lens));
+  const IntVec& raw = counts.int_values();
+  IntVec lens(raw.size());
+  const Int* rp = raw.data();
+  Int* lp = lens.data();
+  parallel_for(raw.size(), [&](Size s) { lp[s] = rp[s] < 0 ? 0 : rp[s]; });
+  Array elems = seq::seg_broadcast(values, lens);
+  return Array::nested(std::move(lens), std::move(elems));
+}
+
+/// Element start(k) + idx[k] - 1 of `source` for every slot k, with the
+/// 1-origin idx[k] checked against limit(k).
+template <typename Start, typename Limit>
+Array index_gather(const Array& source, const IntVec& idx, Start&& start,
+                   Limit&& limit) {
+  const Int* ip = idx.data();
+  return seq::gather_mapped(source, idx.size(), [&](auto&& emit) {
+    const Size bad = parallel_first_failure(idx.size(), [&](Size k) {
+      if (ip[k] < 1 || ip[k] > limit(k)) return k;
+      emit(k, 0, start(k) + ip[k] - 1);
+      return kNoFailure;
+    });
+    if (bad != kNoFailure) index_fail(ip[bad], limit(bad));
+  });
 }
 
 Array seq_index_1_frame(const Array& s, const Array& idx) {
   const IntVec& lens = s.lengths();
   const IntVec& i = idx.int_values();
   vl::require_same_length(lens, i, "seq_index^1");
-  check_index_frame(i, lens);
-  IntVec offsets = vl::lengths_to_offsets(lens);
-  IntVec positions = vl::add(offsets, vl::sub(i, Int{1}));
-  return seq::gather(s.inner(), positions);
+  IntVec starts(lens.size());
+  segment_starts(lens, starts.data());
+  const Int* lp = lens.data();
+  const Int* sp = starts.data();
+  return index_gather(
+      s.inner(), i, [sp](Size k) { return sp[k]; },
+      [lp](Size k) { return lp[k]; });
 }
 
 Array seq_index_1_shared(const Array& source, const Array& idx) {
-  const IntVec& i = idx.int_values();
-  IntVec limits(i.size(), source.length());
-  check_index_frame(i, limits);
-  return seq::gather(source, vl::sub(i, Int{1}));
+  const Size len = source.length();
+  return index_gather(
+      source, idx.int_values(), [](Size) { return Int{0}; },
+      [len](Size) { return len; });
 }
 
 /// seq_index_inner^1: per-slot gather from each slot's own row, without
@@ -311,12 +354,34 @@ Array seq_index_inner_1(const Array& v, const Array& idx) {
   const IntVec& per_slot = idx.lengths();
   vl::require_same_length(rows, per_slot, "seq_index_inner^1");
   const IntVec& i = idx.inner().int_values();
-  IntVec ids = vl::segment_ids(per_slot);
-  IntVec limits = vl::gather(rows, ids);
-  check_index_frame(i, limits);
-  IntVec base = vl::gather(vl::lengths_to_offsets(rows), ids);
-  IntVec positions = vl::add(base, vl::sub(i, Int{1}));
-  return Array::nested(per_slot, seq::gather(v.inner(), positions));
+  const Size nseg = rows.size();
+  IntVec row_starts(nseg);
+  IntVec idx_starts(nseg);
+  segment_starts(rows, row_starts.data());
+  segment_starts(per_slot, idx_starts.data());
+  const Int* rp = rows.data();
+  const Int* np = per_slot.data();
+  const Int* ip = i.data();
+  const Int* rs = row_starts.data();
+  const Int* is = idx_starts.data();
+  Array elems = seq::gather_mapped(v.inner(), i.size(), [&](auto&& emit) {
+    const Size bad = parallel_first_failure(nseg, [&](Size s) {
+      const Int row = rs[s] - 1;
+      const Int limit = rp[s];
+      const Int end = is[s] + np[s];
+      for (Int k = is[s]; k < end; ++k) {
+        if (ip[k] < 1 || ip[k] > limit) return s;
+        emit(k, 0, row + ip[k]);
+      }
+      return kNoFailure;
+    });
+    if (bad == kNoFailure) return;
+    for (Int k = is[bad];; ++k) {
+      if (ip[k] < 1 || ip[k] > rp[bad]) index_fail(ip[k], rp[bad]);
+    }
+  });
+  vl::stats().record_segments(nseg);
+  return Array::nested(per_slot, std::move(elems));
 }
 
 Array restrict_1(const Array& v, const Array& m) {
@@ -336,45 +401,83 @@ Array update_1(const Array& s, const Array& idx, const Array& x) {
   const IntVec& lens = s.lengths();
   const IntVec& i = idx.int_values();
   vl::require_same_length(lens, i, "update^1");
-  check_index_frame(i, lens);
-  IntVec offsets = vl::lengths_to_offsets(lens);
-  IntVec targets = vl::add(offsets, vl::sub(i, Int{1}));
-  const Size n_inner = s.inner().length();
-  IntVec own = vl::iota(n_inner, 0);
-  IntVec replacement = vl::iota(lens.size(), n_inner);
-  IntVec map = vl::scatter(own, targets, replacement);
-  return Array::nested(lens, seq::gather(seq::concat(s.inner(), x), map));
+  PROTEUS_REQUIRE(RepresentationError, seq::same_structure(s.inner(), x),
+                  "concat: arrays have different element structure");
+  PROTEUS_REQUIRE(EvalError, x.length() == lens.size(),
+                  "update^1: one replacement per slot");
+  const Size nseg = lens.size();
+  IntVec starts(nseg);
+  const Size total = segment_starts(lens, starts.data());
+  const Int* lp = lens.data();
+  const Int* ip = i.data();
+  const Int* sp = starts.data();
+  // Slot k keeps its own elements except at index i[k], which takes x[k].
+  const Array* sources[] = {&s.inner(), &x};
+  Array elems = seq::gather_mapped(sources, total, [&](auto&& emit) {
+    const Size bad = parallel_first_failure(nseg, [&](Size k) {
+      if (ip[k] < 1 || ip[k] > lp[k]) return k;
+      const Int at = sp[k] + ip[k] - 1;
+      emit.run(sp[k], 0, sp[k], ip[k] - 1);
+      emit(at, 1, k);
+      emit.run(at + 1, 0, at + 1, lp[k] - ip[k]);
+      return kNoFailure;
+    });
+    if (bad != kNoFailure) index_fail(ip[bad], lp[bad]);
+  });
+  vl::stats().record_segments(nseg);
+  return Array::nested(lens, std::move(elems));
 }
 
 Array concat_1(const Array& a, const Array& b) {
   const IntVec& la = a.lengths();
   const IntVec& lb = b.lengths();
   vl::require_same_length(la, lb, "concat^1");
-  IntVec out_lens = vl::add(la, lb);
-  IntVec ids = vl::segment_ids(out_lens);
-  IntVec ranks0 = vl::sub(vl::segment_ranks(out_lens), Int{1});
-  IntVec la_of = vl::gather(la, ids);
-  IntVec aoff = vl::gather(vl::lengths_to_offsets(la), ids);
-  IntVec boff = vl::gather(vl::lengths_to_offsets(lb), ids);
-  BoolVec in_a = vl::lt(ranks0, la_of);
-  IntVec pos_a = vl::add(aoff, ranks0);
-  IntVec pos_b = vl::add(vl::add(boff, vl::sub(ranks0, la_of)),
-                         IntVec(ranks0.size(), a.inner().length()));
-  IntVec pos = vl::select(in_a, pos_a, pos_b);
-  return Array::nested(std::move(out_lens),
-                       seq::gather(seq::concat(a.inner(), b.inner()), pos));
+  PROTEUS_REQUIRE(RepresentationError,
+                  seq::same_structure(a.inner(), b.inner()),
+                  "concat: arrays have different element structure");
+  const Size nseg = la.size();
+  IntVec a_starts(nseg);
+  IntVec b_starts(nseg);
+  IntVec out_lens(nseg);
+  const Size total = segment_starts(la, a_starts.data()) +
+                     segment_starts(lb, b_starts.data());
+  const Int* ap = la.data();
+  const Int* bp = lb.data();
+  const Int* as = a_starts.data();
+  const Int* bs = b_starts.data();
+  Int* op = out_lens.data();
+  parallel_for(nseg, [&](Size s) { op[s] = ap[s] + bp[s]; });
+  // Slot s of the result starts where the a and b elements before it end.
+  const Array* sources[] = {&a.inner(), &b.inner()};
+  Array elems = seq::gather_mapped(sources, total, [&](auto&& emit) {
+    parallel_for(nseg, [&](Size s) {
+      const Int to = as[s] + bs[s];
+      emit.run(to, 0, as[s], ap[s]);
+      emit.run(to + ap[s], 1, bs[s], bp[s]);
+    });
+  });
+  vl::stats().record_segments(nseg);
+  return Array::nested(std::move(out_lens), std::move(elems));
 }
 
-/// reverse^1: per-slot reversal (positions: mirror within each segment).
+/// reverse^1: per-slot reversal (each segment mirrored in place).
 Array reverse_1(const Array& v) {
   const IntVec& lens = v.lengths();
-  IntVec offsets = vl::lengths_to_offsets(lens);
-  IntVec ids = vl::segment_ids(lens);
-  IntVec ranks = vl::segment_ranks(lens);
-  // element at 1-origin rank r of slot s reads offset[s] + len[s] - r
-  IntVec pos = vl::sub(
-      vl::add(vl::gather(offsets, ids), vl::gather(lens, ids)), ranks);
-  return Array::nested(lens, seq::gather(v.inner(), pos));
+  const Size nseg = lens.size();
+  IntVec starts(nseg);
+  const Size total = segment_starts(lens, starts.data());
+  const Int* lp = lens.data();
+  const Int* sp = starts.data();
+  Array elems = seq::gather_mapped(v.inner(), total, [&](auto&& emit) {
+    parallel_for(nseg, [&](Size s) {
+      const Int start = sp[s];
+      const Int len = lp[s];
+      const Int last = start + len - 1;
+      for (Int r = 0; r < len; ++r) emit(start + r, 0, last - r);
+    });
+  });
+  vl::stats().record_segments(nseg);
+  return Array::nested(lens, std::move(elems));
 }
 
 /// zip^1: per-slot zip — same descriptor, tuple of the inner arrays.
@@ -397,13 +500,22 @@ Array seq_cons_1(const std::vector<Array>& elems) {
                   "seq_cons^1 with no element frames");
   const Size n = elems[0].length();
   const Size k = static_cast<Size>(elems.size());
-  Array all = elems[0];
-  for (std::size_t c = 1; c < elems.size(); ++c) {
-    all = seq::concat(all, elems[c]);
+  std::vector<const Array*> sources;
+  sources.reserve(elems.size());
+  for (const Array& e : elems) {
+    PROTEUS_REQUIRE(RepresentationError, seq::same_structure(elems[0], e),
+                    "concat: arrays have different element structure");
+    PROTEUS_REQUIRE(EvalError, e.length() == n,
+                    "seq_cons^1: element frames differ in length");
+    sources.push_back(&e);
   }
-  IntVec p = vl::iota(n * k, 0);
-  IntVec idx = vl::add(vl::mul(vl::mod(p, k), n), vl::div(p, k));
-  return Array::nested(IntVec(n, k), seq::gather(all, idx));
+  // Slot s of the result is [elems[0][s], ..., elems[k-1][s]].
+  Array all = seq::gather_mapped(sources, n * k, [&](auto&& emit) {
+    parallel_for(n, [&](Size s) {
+      for (Size c = 0; c < k; ++c) emit(s * k + c, c, s);
+    });
+  });
+  return Array::nested(IntVec(n, k), std::move(all));
 }
 
 Array reduce_1(Prim op, const Array& v) {
@@ -500,13 +612,9 @@ VValue apply_prim0(Prim op, const std::vector<VValue>& args) {
       Int i = checked_index0(args[1].as_int(), s.length());
       return element_value(s, i);
     }
-    case Prim::kSeqIndexInner: {
-      const Array& s = args[0].as_seq();
-      const IntVec& i = args[1].as_seq().int_values();
-      IntVec limits(i.size(), s.length());
-      check_index_frame(i, limits);
-      return VValue::seq(seq::gather(s, vl::sub(i, Int{1})));
-    }
+    case Prim::kSeqIndexInner:
+      return VValue::seq(
+          seq_index_1_shared(args[0].as_seq(), args[1].as_seq()));
     case Prim::kSeqUpdate: {
       const Array& s = args[0].as_seq();
       Int i = checked_index0(args[1].as_int(), s.length());

@@ -14,58 +14,113 @@ void require_same_structure(const Array& a, const Array& b, const char* op) {
 }  // namespace
 
 Array gather(const Array& a, const IntVec& idx) {
-  switch (a.kind()) {
-    case Array::Kind::kInt:
-      return Array::ints(vl::gather(a.int_values(), idx));
-    case Array::Kind::kReal:
-      return Array::reals(vl::gather(a.real_values(), idx));
-    case Array::Kind::kBool:
-      return Array::bools(vl::gather(a.bool_values(), idx));
-    case Array::Kind::kTuple: {
-      std::vector<Array> comps;
-      comps.reserve(a.components().size());
-      for (const Array& c : a.components()) comps.push_back(gather(c, idx));
-      return Array::tuple(std::move(comps));
-    }
-    case Array::Kind::kNested: {
-      // Select whole segments: new descriptor, then expand per-segment
-      // start offsets to per-element source positions.
-      IntVec out_lens = vl::gather(a.lengths(), idx);
-      IntVec src_offsets = vl::lengths_to_offsets(a.lengths());
-      IntVec starts = vl::gather(src_offsets, idx);
-      IntVec base = vl::seg_dist(starts, out_lens);
-      IntVec ranks = vl::segment_ranks(out_lens);
-      IntVec positions = vl::add(base, vl::sub(ranks, Int{1}));
-      return Array::nested(std::move(out_lens), gather(a.inner(), positions));
-    }
-  }
-  throw RepresentationError("gather: corrupt array kind");
+  const Int* ip = idx.data();
+  const Size m = a.length();
+  return gather_mapped(a, idx.size(), [&](auto&& emit) {
+    const Size bad = vl::detail::parallel_first_failure(
+        idx.size(), [&](Size i) {
+          if (ip[i] < 0 || ip[i] >= m) return i;
+          emit(i, 0, ip[i]);
+          return vl::detail::kNoFailure;
+        });
+    if (bad == vl::detail::kNoFailure) return;
+    const Int j = ip[bad];  // fails, with vl::gather's message
+    PROTEUS_REQUIRE(EvalError, j >= 0 && j < m,
+                    "gather index " + std::to_string(j) +
+                        " out of range for vector of length " +
+                        std::to_string(m));
+  });
 }
+
+namespace detail {
+
+Array gather_segments(std::span<const Array* const> sources,
+                      const IntVec& from, const IntVec& at,
+                      IntVec out_lengths) {
+  const Size n = at.size();
+  std::vector<IntVec> starts;
+  std::vector<const Int*> sp;
+  std::vector<const Array*> inner;
+  starts.reserve(sources.size());
+  for (const Array* s : sources) {
+    starts.emplace_back(s->length());
+    vl::detail::segment_starts(s->lengths(), starts.back().data());
+    sp.push_back(starts.back().data());
+    inner.push_back(&s->inner());
+  }
+  IntVec out_starts(n);
+  const Size total =
+      vl::detail::segment_starts(out_lengths, out_starts.data());
+  const Int* fp = from.empty() ? nullptr : from.data();
+  const Int* ap = at.data();
+  const Int* lp = out_lengths.data();
+  const Int* op = out_starts.data();
+  const Int* const* from_starts = sp.data();
+  Array elems = gather_mapped(inner, total, [&](auto&& emit) {
+    vl::detail::parallel_for(n, [&](Size k) {
+      const Size c = fp == nullptr ? 0 : fp[k];
+      const Int src = from_starts[c][ap[k]];
+      emit.run(op[k], c, src, lp[k]);
+    });
+  });
+  vl::stats().record_segments(n);
+  return Array::nested(std::move(out_lengths), std::move(elems));
+}
+
+}  // namespace detail
 
 Array pack(const Array& a, const BoolVec& mask) {
   PROTEUS_REQUIRE(VectorError, a.length() == mask.size(),
                   "restrict: sequence and mask lengths differ");
-  return gather(a, vl::pack_indices(mask));
+  switch (a.kind()) {
+    case Array::Kind::kInt:
+      return Array::ints(vl::pack(a.int_values(), mask));
+    case Array::Kind::kReal:
+      return Array::reals(vl::pack(a.real_values(), mask));
+    case Array::Kind::kBool:
+      return Array::bools(vl::pack(a.bool_values(), mask));
+    case Array::Kind::kTuple: {
+      std::vector<Array> comps;
+      comps.reserve(a.components().size());
+      for (const Array& c : a.components()) comps.push_back(pack(c, mask));
+      return Array::tuple(std::move(comps));
+    }
+    case Array::Kind::kNested:
+      return gather(a, vl::pack_indices(mask));
+  }
+  throw RepresentationError("restrict: corrupt array kind");
 }
 
 Array combine(const BoolVec& mask, const Array& t, const Array& f) {
   require_same_structure(t, f, "combine");
   PROTEUS_REQUIRE(VectorError, mask.size() == t.length() + f.length(),
                   "combine: #M must equal #V + #U");
-  // Source index into concat(t, f): true positions take the i-th true
-  // element of t, false positions the i-th false element of f.
-  IntVec ones(mask.size());
-  Int* op = ones.data();
-  for (Size i = 0; i < mask.size(); ++i) op[i] = mask[i] ? 1 : 0;
-  IntVec true_rank = vl::scan_add(ones);  // #true before i
-  IntVec pos(mask.size());
-  Int* pp = pos.data();
-  const Int* tr = true_rank.data();
-  for (Size i = 0; i < mask.size(); ++i) {
-    pp[i] = mask[i] ? tr[i] : t.length() + (i - tr[i]);
-  }
-  vl::stats().record(mask.size());
-  return gather(concat(t, f), pos);
+  const Bool* mp = mask.data();
+  const Array* sources[] = {&t, &f};
+  // True positions take the next element of t, false ones the next of f:
+  // a stream compaction of the mask, run in blocks that each start from
+  // the number of true (and so false) positions before them.
+  return gather_mapped(sources, mask.size(), [&](auto&& emit) {
+    vl::detail::compact(
+        mask.size(),
+        [&](Size lo, Size hi) {
+          return vl::detail::count_true(mp, lo, hi);
+        },
+        [&](Size survivors) {
+          PROTEUS_REQUIRE(VectorError, survivors == t.length(),
+                          "combine: mask true-count does not match #V");
+        },
+        [&](Size lo, Size hi, Size ti) {
+          Size fi = lo - ti;
+          for (Size i = lo; i < hi; ++i) {
+            if (mp[i] != 0) {
+              emit(i, 0, ti++);
+            } else {
+              emit(i, 1, fi++);
+            }
+          }
+        });
+  });
 }
 
 Array concat(const Array& a, const Array& b) {
@@ -121,7 +176,20 @@ Array broadcast_element(const Array& a, Size i, Size n) {
 Array seg_broadcast(const Array& a, const IntVec& counts) {
   PROTEUS_REQUIRE(VectorError, a.length() == counts.size(),
                   "dist: value and count sequences must have equal length");
-  return gather(a, vl::seg_dist(vl::iota(a.length(), 0), counts));
+  const Size n = counts.size();
+  IntVec starts(n);
+  const Size total = vl::detail::segment_starts(counts, starts.data());
+  const Int* cp = counts.data();
+  const Int* sp = starts.data();
+  Array out = gather_mapped(a, total, [&](auto&& emit) {
+    vl::detail::parallel_for(n, [&](Size s) {
+      const Int to = sp[s];
+      const Int len = cp[s];
+      for (Int r = 0; r < len; ++r) emit(to + r, 0, s);
+    });
+  });
+  vl::stats().record_segments(n);
+  return out;
 }
 
 Array element(const Array& a, Size i) { return broadcast_element(a, i, 1); }

@@ -23,6 +23,7 @@
 #if !defined(_WIN32)
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -791,6 +792,15 @@ int Server::serve_stdio(std::istream& in, std::ostream& out) {
 
 #if !defined(_WIN32)
 
+int accept_connection(int listen_fd) {
+  const int conn = ::accept(listen_fd, nullptr, nullptr);
+  if (conn >= 0) {
+    const int one = 1;
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  }
+  return conn;
+}
+
 namespace {
 
 /// send(2) until done; false on a closed/broken connection. MSG_NOSIGNAL
@@ -1064,7 +1074,7 @@ int Server::serve_tcp(const std::string& host, int port,
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);  // re-check lifecycle 5x/second
     if (ready <= 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
+    const int conn = accept_connection(listen_fd);
     if (conn < 0) {
       count("serve.accept_errors");
       if (errno == EMFILE || errno == ENFILE) {
@@ -1156,7 +1166,7 @@ int Server::serve_metrics_http(const std::string& host, int port,
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);  // re-check stop 5x/second
     if (ready <= 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
+    const int conn = accept_connection(listen_fd);
     if (conn < 0) {
       count("serve.accept_errors");
       if (errno == EMFILE || errno == ENFILE) {

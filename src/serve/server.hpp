@@ -328,4 +328,12 @@ class Server {
   std::atomic<int> tcp_port_{-1};
 };
 
+#if !defined(_WIN32)
+/// accept(2) for both TCP transports: the accepted connection with
+/// TCP_NODELAY set, or -1 with accept's errno. A reply is one small
+/// write; under Nagle's algorithm a pipelining client's next reply
+/// would wait out the peer's delayed ACK.
+[[nodiscard]] int accept_connection(int listen_fd);
+#endif
+
 }  // namespace proteus::serve

@@ -27,7 +27,7 @@ std::size_t class_of(std::size_t n) {
 template <typename T>
 struct TypedPool {
   struct Entry {
-    std::vector<T> buf;
+    Buffer<T> buf;
     std::uint64_t charged = 0;
   };
   std::array<std::vector<Entry>, kClasses> buckets;
@@ -61,7 +61,7 @@ TypedPool<std::uint8_t>& typed(Pool& p) {
 }
 
 template <typename T>
-bool acquire_impl(std::size_t n, std::vector<T>& out,
+bool acquire_impl(std::size_t n, Buffer<T>& out,
                   std::uint64_t& charged) noexcept {
   Pool* p = t_pool;
   if (p == nullptr || n == 0) return false;
@@ -86,7 +86,7 @@ bool acquire_impl(std::size_t n, std::vector<T>& out,
 }
 
 template <typename T>
-bool donate_impl(std::vector<T>&& v, std::uint64_t charged) noexcept {
+bool donate_impl(Buffer<T>&& v, std::uint64_t charged) noexcept {
   Pool* p = t_pool;
   if (p == nullptr) return false;
   const std::uint64_t bytes =
@@ -131,26 +131,26 @@ Totals totals() noexcept {
   return {t_pool->held_bytes, t_pool->buffers};
 }
 
-bool try_acquire(std::size_t n, std::vector<std::int64_t>& out,
+bool try_acquire(std::size_t n, Buffer<std::int64_t>& out,
                  std::uint64_t& charged) noexcept {
   return acquire_impl(n, out, charged);
 }
-bool try_acquire(std::size_t n, std::vector<double>& out,
+bool try_acquire(std::size_t n, Buffer<double>& out,
                  std::uint64_t& charged) noexcept {
   return acquire_impl(n, out, charged);
 }
-bool try_acquire(std::size_t n, std::vector<std::uint8_t>& out,
+bool try_acquire(std::size_t n, Buffer<std::uint8_t>& out,
                  std::uint64_t& charged) noexcept {
   return acquire_impl(n, out, charged);
 }
 
-bool try_donate(std::vector<std::int64_t>&& v, std::uint64_t charged) noexcept {
+bool try_donate(Buffer<std::int64_t>&& v, std::uint64_t charged) noexcept {
   return donate_impl(std::move(v), charged);
 }
-bool try_donate(std::vector<double>&& v, std::uint64_t charged) noexcept {
+bool try_donate(Buffer<double>&& v, std::uint64_t charged) noexcept {
   return donate_impl(std::move(v), charged);
 }
-bool try_donate(std::vector<std::uint8_t>&& v, std::uint64_t charged) noexcept {
+bool try_donate(Buffer<std::uint8_t>&& v, std::uint64_t charged) noexcept {
   return donate_impl(std::move(v), charged);
 }
 

@@ -23,14 +23,47 @@
 //     line's worth; refused buffers free normally.
 //
 // No header in vl/ below this one is included here: vec.hpp includes
-// arena.hpp, so the pool traffics in raw std::vector storage.
+// arena.hpp, so the pool traffics in raw Buffer storage.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace proteus::vl::arena {
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// growing a vector of scalars allocates without zero-filling. Explicit
+/// values (assign(n, v), copies, push_back) construct as usual.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(
+      std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// The storage behind every vl::Vec<T>, and the unit the pool recycles.
+template <typename T>
+using Buffer = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Opens a per-evaluation arena on this thread; nested scopes stack, and
 /// all pool traffic goes to the innermost one. Destruction frees every
@@ -58,32 +91,32 @@ struct Totals {
 /// Hands `out` a pooled buffer with capacity >= n (same element type) and
 /// stores the governor charge that travels with it in `charged`. Returns
 /// false — leaving `out` untouched — when inactive or nothing fits.
-[[nodiscard]] bool try_acquire(std::size_t n, std::vector<std::int64_t>& out,
+[[nodiscard]] bool try_acquire(std::size_t n, Buffer<std::int64_t>& out,
                                std::uint64_t& charged) noexcept;
-[[nodiscard]] bool try_acquire(std::size_t n, std::vector<double>& out,
+[[nodiscard]] bool try_acquire(std::size_t n, Buffer<double>& out,
                                std::uint64_t& charged) noexcept;
-[[nodiscard]] bool try_acquire(std::size_t n, std::vector<std::uint8_t>& out,
+[[nodiscard]] bool try_acquire(std::size_t n, Buffer<std::uint8_t>& out,
                                std::uint64_t& charged) noexcept;
 
 /// Banks a dying buffer and its outstanding governor charge. Returns
 /// false — leaving `v` untouched, charge still the caller's to release —
 /// when inactive, the buffer is too small to bother, or the pool is full.
-[[nodiscard]] bool try_donate(std::vector<std::int64_t>&& v,
+[[nodiscard]] bool try_donate(Buffer<std::int64_t>&& v,
                               std::uint64_t charged) noexcept;
-[[nodiscard]] bool try_donate(std::vector<double>&& v,
+[[nodiscard]] bool try_donate(Buffer<double>&& v,
                               std::uint64_t charged) noexcept;
-[[nodiscard]] bool try_donate(std::vector<std::uint8_t>&& v,
+[[nodiscard]] bool try_donate(Buffer<std::uint8_t>&& v,
                               std::uint64_t charged) noexcept;
 
 /// Catch-alls for Vec<T> instantiations the pool does not carry.
 template <typename T>
 [[nodiscard]] inline bool try_acquire(std::size_t /*n*/,
-                                      std::vector<T>& /*out*/,
+                                      Buffer<T>& /*out*/,
                                       std::uint64_t& /*charged*/) noexcept {
   return false;
 }
 template <typename T>
-[[nodiscard]] inline bool try_donate(std::vector<T>&& /*v*/,
+[[nodiscard]] inline bool try_donate(Buffer<T>&& /*v*/,
                                      std::uint64_t /*charged*/) noexcept {
   return false;
 }

@@ -1,9 +1,6 @@
 #include "vl/pack.hpp"
 
 #include "vl/kernel.hpp"
-#include "vl/reduce.hpp"
-#include "vl/scan.hpp"
-#include "vl/segdesc.hpp"
 
 namespace proteus::vl {
 
@@ -11,17 +8,22 @@ namespace detail {
 
 namespace {
 
-/// Exclusive scan of the mask interpreted as 0/1 counts: destination slot
-/// of each surviving element, plus the survivor count.
-IntVec mask_offsets(const BoolVec& mask, Size* survivors) {
-  IntVec counts(mask.size());
+/// value(i) for every true mask[i], in order.
+template <typename T, typename Value>
+Vec<T> pack_with(const BoolVec& mask, Value&& value) {
   const Bool* mp = mask.data();
-  Int* cp = counts.data();
-  parallel_for(mask.size(), [&](Size i) { cp[i] = mp[i] ? 1 : 0; });
-  Int total = 0;
-  IntVec offsets = scan_add_total(counts, total);
-  *survivors = total;
-  return offsets;
+  Vec<T> out;
+  compact(
+      mask.size(), [&](Size lo, Size hi) { return count_true(mp, lo, hi); },
+      [&](Size total) { out = Vec<T>(total); },
+      [&](Size lo, Size hi, Size k) {
+        T* rp = out.data();
+        for (Size i = lo; i < hi; ++i) {
+          if (mp[i]) rp[k++] = value(i);
+        }
+      });
+  stats().record(mask.size());
+  return out;
 }
 
 }  // namespace
@@ -29,18 +31,8 @@ IntVec mask_offsets(const BoolVec& mask, Size* survivors) {
 template <typename T>
 Vec<T> pack_impl(const Vec<T>& values, const BoolVec& mask) {
   require_same_length(values, mask, "restrict");
-  Size survivors = 0;
-  IntVec offsets = mask_offsets(mask, &survivors);
-  Vec<T> out(survivors);
   const T* vp = values.data();
-  const Bool* mp = mask.data();
-  const Int* op_ = offsets.data();
-  T* rp = out.data();
-  parallel_for(values.size(), [&](Size i) {
-    if (mp[i]) rp[op_[i]] = vp[i];
-  });
-  stats().record(values.size());
-  return out;
+  return pack_with<T>(mask, [vp](Size i) { return vp[i]; });
 }
 
 template <typename T>
@@ -49,22 +41,25 @@ Vec<T> combine_impl(const BoolVec& mask, const Vec<T>& when_true,
   PROTEUS_REQUIRE(VectorError,
                   mask.size() == when_true.size() + when_false.size(),
                   "combine: #M must equal #V + #U");
-  Size survivors = 0;
-  IntVec offsets = mask_offsets(mask, &survivors);
-  PROTEUS_REQUIRE(VectorError, survivors == when_true.size(),
-                  "combine: mask true-count does not match #V");
-  Vec<T> out(mask.size());
   const Bool* mp = mask.data();
-  const Int* op_ = offsets.data();
   const T* tp = when_true.data();
   const T* fp = when_false.data();
-  T* rp = out.data();
-  parallel_for(mask.size(), [&](Size i) {
-    // Element i comes from when_true if mask[i], indexed by the number of
-    // true positions before i; otherwise from when_false, indexed by the
-    // number of false positions before i.
-    rp[i] = mp[i] ? tp[op_[i]] : fp[i - op_[i]];
-  });
+  Vec<T> out;
+  compact(
+      mask.size(), [&](Size lo, Size hi) { return count_true(mp, lo, hi); },
+      [&](Size survivors) {
+        PROTEUS_REQUIRE(VectorError, survivors == when_true.size(),
+                        "combine: mask true-count does not match #V");
+        out = Vec<T>(mask.size());
+      },
+      [&](Size lo, Size hi, Size t) {
+        // Element i comes from when_true if mask[i], indexed by the number
+        // of true positions before i; otherwise from when_false, indexed
+        // by the number of false positions before i.
+        T* rp = out.data();
+        Size f = lo - t;
+        for (Size i = lo; i < hi; ++i) rp[i] = mp[i] ? tp[t++] : fp[f++];
+      });
   stats().record(mask.size());
   return out;
 }
@@ -82,21 +77,24 @@ template BoolVec combine_impl<Bool>(const BoolVec&, const BoolVec&,
 }  // namespace detail
 
 IntVec pack_indices(const BoolVec& mask) {
-  IntVec all(mask.size());
-  Int* p = all.data();
-  detail::parallel_for(mask.size(), [&](Size i) { p[i] = i; });
-  stats().record(mask.size());
-  return pack(all, mask);
+  return detail::pack_with<Int>(mask, [](Size i) { return i; });
 }
 
 IntVec seg_pack_lengths(const IntVec& seg_lengths, const BoolVec& mask) {
-  require_descriptor(seg_lengths, mask.size(), "seg_pack_lengths");
-  IntVec counts(mask.size());
+  const Size nseg = seg_lengths.size();
+  IntVec out(nseg);  // the segment starts first, then the counts in place
+  Int* op = out.data();
+  PROTEUS_REQUIRE(VectorError,
+                  detail::segment_starts(seg_lengths, op) == mask.size(),
+                  "seg_pack_lengths: descriptor does not cover the vector");
+  const Int* lp = seg_lengths.data();
   const Bool* mp = mask.data();
-  Int* cp = counts.data();
-  detail::parallel_for(mask.size(), [&](Size i) { cp[i] = mp[i] ? 1 : 0; });
+  detail::parallel_for(nseg, [&](Size s) {
+    op[s] = static_cast<Int>(detail::count_true(mp, op[s], op[s] + lp[s]));
+  });
   stats().record(mask.size());
-  return seg_reduce_add(counts, seg_lengths);
+  stats().record_segments(nseg);
+  return out;
 }
 
 template <typename T>

@@ -16,14 +16,18 @@ Vec<T> gather_impl(const Vec<T>& values, const IntVec& indices) {
   const T* vp = values.data();
   const Int* ip = indices.data();
   T* op = out.data();
-  parallel_for(n, [&](Size i) {
-    const Int j = ip[i];
+  const Size bad = parallel_first_failure(n, [&](Size i) {
+    if (ip[i] < 0 || ip[i] >= m) return i;
+    op[i] = vp[ip[i]];
+    return kNoFailure;
+  });
+  if (bad != kNoFailure) {
+    const Int j = ip[bad];
     PROTEUS_REQUIRE(EvalError, j >= 0 && j < m,
                     "gather index " + std::to_string(j) +
                         " out of range for vector of length " +
                         std::to_string(m));
-    op[i] = vp[j];
-  });
+  }
   stats().record(n);
   return out;
 }
@@ -38,13 +42,17 @@ Vec<T> permute_impl(const Vec<T>& values, const IntVec& positions) {
   const Int* pp = positions.data();
   T* op = out.data();
   Bool* wp = written.data();
-  parallel_for(n, [&](Size i) {
-    const Int j = pp[i];
+  const Size bad = parallel_first_failure(n, [&](Size i) {
+    if (pp[i] < 0 || pp[i] >= n) return i;
+    op[pp[i]] = vp[i];
+    wp[pp[i]] = 1;  // each slot is written once iff positions is a permutation
+    return kNoFailure;
+  });
+  if (bad != kNoFailure) {
+    const Int j = pp[bad];
     PROTEUS_REQUIRE(VectorError, j >= 0 && j < n,
                     "permute position out of range");
-    op[j] = vp[i];
-    wp[j] = 1;  // each slot is written once iff positions is a permutation
-  });
+  }
   for (Size i = 0; i < n; ++i) {
     PROTEUS_REQUIRE(VectorError, wp[i] != 0,
                     "permute positions are not a permutation");
@@ -93,17 +101,24 @@ Vec<T> seg_gather_impl(const Vec<T>& values, const IntVec& src_offsets,
   const Int* sp = seg_of.data();
   const Int* xp = local_index.data();
   T* rp = out.data();
-  parallel_for(n, [&](Size i) {
-    const Int s = sp[i];
+  const auto ok = [&](Size i) {
+    return sp[i] >= 0 && sp[i] < nseg && xp[i] >= 0 && xp[i] < lp[sp[i]];
+  };
+  const Size bad = parallel_first_failure(n, [&](Size i) {
+    if (!ok(i)) return i;
+    rp[i] = vp[op_[sp[i]] + xp[i]];
+    return kNoFailure;
+  });
+  if (bad != kNoFailure) {
+    const Int s = sp[bad];
     PROTEUS_REQUIRE(EvalError, s >= 0 && s < nseg,
                     "seg_gather segment id out of range");
-    const Int x = xp[i];
+    const Int x = xp[bad];
     PROTEUS_REQUIRE(EvalError, x >= 0 && x < lp[s],
                     "seq_index: index " + std::to_string(x + 1) +
                         " out of range for sequence of length " +
                         std::to_string(lp[s]));
-    rp[i] = vp[op_[s] + x];
-  });
+  }
   stats().record(n);
   return out;
 }

@@ -55,16 +55,21 @@ class Vec {
 
   Vec() = default;
 
-  /// Uninitialized-by-default construction of `n` zero elements. Sized
-  /// construction and copies are the arena's acquisition points: with a
-  /// scope active they reuse a pooled buffer instead of allocating.
-  explicit Vec(Size n) { init_sized(check_size(n), T{}); }
+  /// `n` elements with unspecified values: the storage is allocated (or
+  /// taken from the arena) and charged, but not written. Kernels size an
+  /// output this way and then write every one of its n slots before
+  /// anything reads it; a caller that needs a defined starting value
+  /// uses Vec(n, fill). Sized construction and copies are the arena's
+  /// acquisition points: with a scope active they reuse a pooled buffer
+  /// instead of allocating.
+  explicit Vec(Size n) { init_sized(check_size(n)); }
 
-  Vec(Size n, T fill) { init_sized(check_size(n), fill); }
+  Vec(Size n, T fill) {
+    init_sized(check_size(n));
+    std::fill(data_.begin(), data_.end(), fill);
+  }
 
   Vec(std::initializer_list<T> init) : data_(init) { charge(); }
-
-  explicit Vec(std::vector<T> v) : data_(std::move(v)) { charge(); }
 
   template <typename It>
   Vec(It first, It last) : data_(first, last) { charge(); }
@@ -138,12 +143,11 @@ class Vec {
     data_.reserve(check_size(n));
     recharge();
   }
+  /// Growth leaves the new elements unspecified, as Vec(n) does.
   void resize(Size n) {
     data_.resize(check_size(n));
     recharge();
   }
-
-  [[nodiscard]] const std::vector<T>& raw() const { return data_; }
 
   /// Equality is over the elements only — the governor's charge tally is
   /// bookkeeping, not value.
@@ -184,21 +188,22 @@ class Vec {
   }
 
   /// Sized construction: an arena hit reuses a pooled buffer whose
-  /// governor charge travels with it (capacity >= n, so assign cannot
+  /// governor charge travels with it (capacity >= n, so resize cannot
   /// reallocate); a miss takes the original charged-allocation path.
-  void init_sized(std::size_t n, T fill) {
+  /// Either way the elements are left unwritten (see Vec(Size)).
+  void init_sized(std::size_t n) {
     std::uint64_t banked = 0;
     if (arena::try_acquire(n, data_, banked)) {
       charged_ = banked;
       recycled_ = true;
-      data_.assign(n, fill);
+      data_.resize(n);
       return;
     }
-    data_.assign(n, fill);
+    data_.resize(n);
     charge();
   }
 
-  void init_copy(const std::vector<T>& src) {
+  void init_copy(const arena::Buffer<T>& src) {
     std::uint64_t banked = 0;
     if (arena::try_acquire(src.size(), data_, banked)) {
       charged_ = banked;
@@ -221,7 +226,7 @@ class Vec {
     charged_ = 0;
   }
 
-  std::vector<T> data_;
+  arena::Buffer<T> data_;
   std::uint64_t charged_ = 0;
   bool recycled_ = false;
 };

@@ -347,10 +347,10 @@ TypePtr read_type(Reader& r, int depth) {
 
 vl::IntVec read_int_vec(Reader& r) {
   const std::uint64_t n = r.count64(8);
-  std::vector<vl::Int> v;
-  v.reserve(r.ok() ? static_cast<std::size_t>(n) : 0);
+  vl::IntVec v;
+  v.reserve(r.ok() ? static_cast<vl::Size>(n) : 0);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) v.push_back(r.i64());
-  return vl::IntVec(std::move(v));
+  return v;
 }
 
 Array read_array(Reader& r, int depth) {
@@ -368,16 +368,17 @@ Array read_array(Reader& r, int depth) {
       return Array::ints(read_int_vec(r));
     case Array::Kind::kReal: {
       const std::uint64_t n = r.count64(8);
-      std::vector<vl::Real> v;
-      v.reserve(r.ok() ? static_cast<std::size_t>(n) : 0);
+      vl::RealVec v;
+      v.reserve(r.ok() ? static_cast<vl::Size>(n) : 0);
       for (std::uint64_t i = 0; i < n && r.ok(); ++i) v.push_back(r.f64());
-      return Array::reals(vl::RealVec(std::move(v)));
+      return Array::reals(std::move(v));
     }
     case Array::Kind::kBool: {
       const std::uint64_t n = r.count64(1);
-      std::vector<vl::Bool> v(r.ok() ? static_cast<std::size_t>(n) : 0);
-      if (!v.empty()) r.bytes(v.data(), v.size());
-      return Array::bools(vl::BoolVec(std::move(v)));
+      // Zero-filled: a short read fails `r` without writing the bytes.
+      vl::BoolVec v(r.ok() ? static_cast<vl::Size>(n) : 0, vl::Bool{0});
+      if (!v.empty()) r.bytes(v.data(), static_cast<std::size_t>(v.size()));
+      return Array::bools(std::move(v));
     }
     case Array::Kind::kTuple: {
       const std::uint32_t n = r.count32(1);

@@ -181,6 +181,23 @@ TEST(Differential, RealArithmetic) {
   expect_both(s, "norms", {val("[(3.0,4.0),(0.0,2.0)]")}, "[5.0, 2.0]");
 }
 
+TEST(Differential, EmptyRealSumsAreReal) {
+  // sum of an empty seq(real) is 0.0 in every engine, at depth 0 and in
+  // an iterator; nbody's step on one body sums an empty list of forces.
+  Session s(R"(
+    fun total(v: seq(real)): real = sum(v)
+    fun row_sums(m: seq(seq(real))): seq(real) = [r <- m : sum(r)]
+    fun accel(i: int, xs: seq(real)): real =
+      sum([j <- [1 .. #xs] | j != i : xs[j] - xs[i]])
+    fun step(xs: seq(real)): seq(real) = [i <- [1 .. #xs] : accel(i, xs)]
+  )");
+  expect_both(s, "total", {val("([] : seq(real))")}, "0.0");
+  expect_both(s, "row_sums", {val("[([] : seq(real)), [1.5, 2.0]]")},
+              "[0.0, 3.5]");
+  expect_both(s, "step", {val("[2.5]")}, "[0.0]");
+  expect_both(s, "step", {val("[1.0, 4.0]")}, "[3.0, -3.0]");
+}
+
 TEST(Differential, DeepNesting) {
   Session s(R"(
     fun d3(n: int): seq(seq(seq(int))) =

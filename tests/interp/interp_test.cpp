@@ -59,6 +59,14 @@ TEST(Interp, SequencePrimitives) {
   EXPECT_EQ(ev("all([true,false])"), parse_value("false"));
 }
 
+TEST(Interp, SumOfAnEmptySequenceTakesItsCheckedType) {
+  EXPECT_EQ(ev("sum(([] : seq(real)))"), parse_value("0.0"));
+  EXPECT_NE(ev("sum(([] : seq(real)))"), parse_value("0"));
+  EXPECT_EQ(ev("sum(([] : seq(int)))"), parse_value("0"));
+  EXPECT_EQ(ev("[r <- [([] : seq(real)), [1.5]] : sum(r)]"),
+            parse_value("[0.0, 1.5]"));
+}
+
 TEST(Interp, ExtendedPrimitives) {
   EXPECT_EQ(ev("reverse([1,2,3])"), parse_value("[3,2,1]"));
   EXPECT_EQ(ev("reverse(([] : seq(int)))"), parse_value("([] : seq(int))"));

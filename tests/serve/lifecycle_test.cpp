@@ -11,6 +11,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -468,6 +469,36 @@ TEST_F(LifecycleTest, RetryingClientHonorsBusyFrames) {
   ASSERT_TRUE(reply.has_value()) << error;
   EXPECT_TRUE(reply->get("pong").as_bool(false)) << reply->dump();
   EXPECT_GE(client.stats().busy_retries, 1u);
+}
+
+TEST(ServeAccept, AcceptedConnectionsSetTcpNoDelay) {
+  // Replies are small single writes: with Nagle's algorithm on, a
+  // pipelined request's reply waits out the client's delayed ACK.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+
+  RawConn client(static_cast<int>(ntohs(addr.sin_port)));
+  ASSERT_TRUE(client.connected());
+  const int conn = accept_connection(listen_fd);
+  ASSERT_GE(conn, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof nodelay;
+  EXPECT_EQ(::getsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  ::close(conn);
+  ::close(listen_fd);
 }
 
 TEST(ServeCache, DiskInsertIsAtomicAndLeavesNoTmp) {
