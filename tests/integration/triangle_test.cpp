@@ -23,6 +23,11 @@ struct TriCase {
   const char* arg;
 };
 
+// Print a case by its name. The default byte dump shows the pointer
+// values of the fields, which change from run to run and would make the
+// listed test names (and so ctest's test names) unstable.
+void PrintTo(const TriCase& c, std::ostream* os) { *os << c.name; }
+
 class Triangle : public ::testing::TestWithParam<TriCase> {};
 
 TEST_P(Triangle, AllThreeAgree) {

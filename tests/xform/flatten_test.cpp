@@ -189,6 +189,11 @@ struct DiffCase {
   const char* arg;
 };
 
+// Print a case by its name. The default byte dump shows the pointer
+// values of the fields, which change from run to run and would make the
+// listed test names (and so ctest's test names) unstable.
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.name; }
+
 class FlattenSemantics : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(FlattenSemantics, InterpreterOracle) {

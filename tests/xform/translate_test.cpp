@@ -108,6 +108,11 @@ struct TCase {
   const char* arg;
 };
 
+// Print a case by its name. The default byte dump shows the pointer
+// values of the fields, which change from run to run and would make the
+// listed test names (and so ctest's test names) unstable.
+void PrintTo(const TCase& c, std::ostream* os) { *os << c.name; }
+
 class TranslateSemantics : public ::testing::TestWithParam<TCase> {};
 
 TEST_P(TranslateSemantics, InterpreterOracle) {
