@@ -17,11 +17,14 @@
 #include "analysis/lifetime.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "lang/types.hpp"
 #include "seq/extract_insert.hpp"
+#include "vm/cfg.hpp"
 
 namespace proteus::analysis {
 
@@ -31,6 +34,8 @@ using vm::Function;
 using vm::Instr;
 using vm::Module;
 using vm::Op;
+using vm::for_each_succ;
+using vm::writes_dst;
 using lang::Prim;
 
 constexpr std::uint64_t kSat = std::numeric_limits<std::uint64_t>::max();
@@ -57,34 +62,47 @@ std::uint64_t width_of(SlotKind k) {
   return k == SlotKind::kBool ? 1 : 8;
 }
 
-/// Abstract register contents for the size pass.
+/// Abstract register contents for the size pass. (Fields ordered to keep
+/// the struct at 40 bytes: the pass stores one per register per pc.)
 struct AbsVal {
-  enum Tag : std::uint8_t { kUnset, kScalar, kFlat, kTop } tag = kUnset;
-  SlotKind kind = SlotKind::kUnknown;
+  enum Tag : std::uint8_t { kUnset, kScalar, kFlat, kTop };
+
   /// kFlat: element-count bound. kScalar: upper bound on the (integer)
   /// value itself — this is what carries `length(v)` into the count
   /// operand of `range1`/`dist`, the T1 codegen for every comprehension.
   SymBound elems;
+  std::int64_t value = 0;     ///< the exact value when has_value
+  Tag tag = kUnset;
+  SlotKind kind = SlotKind::kUnknown;
   bool has_value = false;     ///< kScalar: exact integer value known
-  std::int64_t value = 0;
 
+  static AbsVal make(Tag tag, SlotKind kind, SymBound elems) {
+    AbsVal v;
+    v.tag = tag;
+    v.kind = kind;
+    v.elems = elems;
+    return v;
+  }
   static AbsVal unset() { return {}; }
   static AbsVal top() {
-    return {kTop, SlotKind::kUnknown, SymBound::top(), false, 0};
+    return make(kTop, SlotKind::kUnknown, SymBound::top());
   }
   static AbsVal scalar(SlotKind k) {
-    return {kScalar, k, SymBound::top(), false, 0};
+    return make(kScalar, k, SymBound::top());
   }
   static AbsVal scalar_capped(SlotKind k, SymBound cap) {
-    return {kScalar, k, cap, false, 0};
+    return make(kScalar, k, cap);
   }
   static AbsVal scalar_int(std::int64_t v) {
-    return {kScalar, SlotKind::kInt,
-            SymBound::konst(v < 0 ? 0 : static_cast<std::uint64_t>(v)), true,
-            v};
+    AbsVal out =
+        make(kScalar, SlotKind::kInt,
+             SymBound::konst(v < 0 ? 0 : static_cast<std::uint64_t>(v)));
+    out.has_value = true;
+    out.value = v;
+    return out;
   }
   static AbsVal flat(SlotKind k, SymBound elems) {
-    return {kFlat, k, elems, false, 0};
+    return make(kFlat, k, elems);
   }
 
   bool operator==(const AbsVal&) const = default;
@@ -200,39 +218,6 @@ AbsVal abstract_constant(const kernels::VValue& v) {
   return AbsVal::top();  // tuple / function values
 }
 
-/// True when the opcode writes Instr::dst (mirrors vm/verify.cpp).
-bool writes_dst(Op op) {
-  switch (op) {
-    case Op::kBranchEmpty:
-    case Op::kJump:
-    case Op::kJumpIfFalse:
-    case Op::kRet:
-      return false;
-    default:
-      return true;
-  }
-}
-
-/// Calls `f(succ)` for every CFG successor of pc (mirrors the verifier).
-template <typename F>
-void for_each_succ(const Instr& in, std::size_t pc, std::size_t n, F&& f) {
-  switch (in.op) {
-    case Op::kRet:
-      break;
-    case Op::kJump:
-      f(static_cast<std::size_t>(in.aux));
-      break;
-    case Op::kJumpIfFalse:
-    case Op::kBranchEmpty:
-      f(static_cast<std::size_t>(in.aux));
-      if (pc + 1 < n) f(pc + 1);
-      break;
-    default:
-      if (pc + 1 < n) f(pc + 1);
-      break;
-  }
-}
-
 /// True when the instruction allocates at least one fresh buffer.
 bool allocates(const Instr& in) {
   switch (in.op) {
@@ -278,11 +263,9 @@ class Analyzer {
 
  private:
   AbsVal transfer_value(const Function& fn, const Instr& in,
-                        const std::uint16_t* a,
-                        const std::vector<AbsVal>& state) const;
+                        const std::uint16_t* a, const AbsVal* state) const;
   SymBound call_scale(const Instr& in, const std::uint16_t* a,
-                      const std::vector<AbsVal>& state,
-                      std::size_t first_arg) const;
+                      const AbsVal* state, std::size_t first_arg) const;
 
   const Module& m_;
   const std::vector<Summary>& summaries_;
@@ -292,7 +275,7 @@ class Analyzer {
 /// Input-scale bound of a call: the summed leaf bounds of the argument
 /// registers (top as soon as one argument is unsized).
 SymBound Analyzer::call_scale(const Instr& in, const std::uint16_t* a,
-                              const std::vector<AbsVal>& state,
+                              const AbsVal* state,
                               std::size_t first_arg) const {
   SymBound n = SymBound::konst(0);
   for (std::size_t i = first_arg; i < in.args_count; ++i) {
@@ -303,7 +286,7 @@ SymBound Analyzer::call_scale(const Instr& in, const std::uint16_t* a,
 
 AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
                                 const std::uint16_t* a,
-                                const std::vector<AbsVal>& state) const {
+                                const AbsVal* state) const {
   const auto flat_arg = [&](std::size_t i) -> const AbsVal& {
     return state[a[i]];
   };
@@ -685,7 +668,9 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
   }
 
   // --- 1. forward size pass (widened worklist dataflow) ---------------------
-  std::vector<std::vector<AbsVal>> in_state(n);
+  // One row of n_regs values per pc: the register contents on entry.
+  std::vector<AbsVal> in_state(n * n_regs);
+  const auto state_at = [&](std::size_t pc) { return &in_state[pc * n_regs]; };
   std::vector<std::uint8_t> reached(n, 0);
   std::vector<std::uint32_t> merges(n, 0);
 
@@ -707,104 +692,93 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
   }
 
   std::vector<std::size_t> work;
-  auto flow_to = [&](std::size_t pc, const std::vector<AbsVal>& state) {
+  // Flows an out-state into pc: the row `from`, with register `def` (when
+  // below n_regs) holding `value` instead.
+  auto flow_to = [&](std::size_t pc, const AbsVal* from, std::size_t def,
+                     const AbsVal& value) {
     if (pc >= n) return;
+    AbsVal* to = state_at(pc);
     if (reached[pc] == 0) {
       reached[pc] = 1;
-      in_state[pc] = state;
+      std::copy(from, from + n_regs, to);
+      if (def < n_regs) to[def] = value;
       work.push_back(pc);
       return;
     }
     bool changed = false;
     const bool widen_now = ++merges[pc] > kWidenLimit;
     for (std::size_t r = 0; r < n_regs; ++r) {
-      AbsVal merged = join(in_state[pc][r], state[r]);
-      if (merged == in_state[pc][r]) continue;
+      AbsVal merged = join(to[r], r == def ? value : from[r]);
+      if (merged == to[r]) continue;
       if (widen_now) merged = widen(merged);
-      if (merged == in_state[pc][r]) continue;
-      in_state[pc][r] = merged;
+      if (merged == to[r]) continue;
+      to[r] = merged;
       changed = true;
     }
     if (changed) work.push_back(pc);
   };
 
-  flow_to(0, entry);
+  flow_to(0, entry.data(), n_regs, AbsVal::unset());
+  std::vector<AbsVal> self_loop;  // a branch to itself flows from a copy
   while (!work.empty()) {
     const std::size_t pc = work.back();
     work.pop_back();
     const Instr& in = fn.code[pc];
-    std::vector<AbsVal> state = in_state[pc];
-    if (writes_dst(in.op)) {
-      state[in.dst] =
-          transfer_value(fn, in, fn.arg_pool.data() + in.args_off, state);
+    const AbsVal* from = state_at(pc);
+    if (vm::is_branch(in.op) && static_cast<std::size_t>(in.aux) == pc) {
+      self_loop.assign(from, from + n_regs);
+      from = self_loop.data();
     }
-    for_each_succ(in, pc, n, [&](std::size_t succ) { flow_to(succ, state); });
+    std::size_t def = n_regs;
+    AbsVal value;
+    if (writes_dst(in.op)) {
+      def = in.dst;
+      value = transfer_value(fn, in, fn.arg_pool.data() + in.args_off, from);
+    }
+    for_each_succ(in, pc, n,
+                  [&](std::size_t succ) { flow_to(succ, from, def, value); });
   }
 
   // --- 2. backward may-liveness ---------------------------------------------
+  // Unreached pcs flow into no reached pc, so computing them too changes
+  // nothing below (which reads reached pcs only).
+  const vm::Liveness live(
+      n, n_regs, [&](std::size_t pc) -> const Instr& { return fn.code[pc]; },
+      [&](std::size_t pc) {
+        const Instr& in = fn.code[pc];
+        return std::span<const std::uint16_t>(
+            fn.arg_pool.data() + in.args_off, in.args_count);
+      });
   const std::size_t words = (n_regs + 63) / 64;
-  std::vector<std::uint64_t> live_in(n * words, 0);
   const auto bit = [](std::size_t r) {
     return std::uint64_t{1} << (r % 64);
   };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t pc = n; pc-- > 0;) {
-      if (reached[pc] == 0) continue;
-      const Instr& in = fn.code[pc];
-      // live-out = union of successors' live-in.
-      std::vector<std::uint64_t> row(words, 0);
-      for_each_succ(in, pc, n, [&](std::size_t succ) {
-        for (std::size_t w = 0; w < words; ++w) {
-          row[w] |= live_in[succ * words + w];
-        }
-      });
-      // minus def, plus uses.
-      if (writes_dst(in.op)) row[in.dst / 64] &= ~bit(in.dst);
-      const std::uint16_t* a = fn.arg_pool.data() + in.args_off;
-      for (std::size_t i = 0; i < in.args_count; ++i) {
-        row[a[i] / 64] |= bit(a[i]);
-      }
-      for (std::size_t w = 0; w < words; ++w) {
-        if (live_in[pc * words + w] != row[w]) {
-          live_in[pc * words + w] = row[w];
-          changed = true;
-        }
-      }
-    }
-  }
-
-  const auto live_out_word = [&](std::size_t pc, std::size_t w) {
-    std::uint64_t v = 0;
-    for_each_succ(fn.code[pc], pc, n, [&](std::size_t succ) {
-      v |= live_in[succ * words + w];
-    });
-    return v;
-  };
 
   // --- 3. deaths (CSR) -------------------------------------------------------
-  std::vector<std::vector<std::uint16_t>> deaths(n);
+  std::vector<std::uint16_t>& death_regs = out.plan.death_regs;
   for (std::size_t pc = 0; pc < n; ++pc) {
-    if (reached[pc] == 0) continue;
-    const Instr& in = fn.code[pc];
-    const std::uint16_t* a = fn.arg_pool.data() + in.args_off;
-    for (std::size_t i = 0; i < in.args_count; ++i) {
-      const std::uint16_t r = a[i];
-      if (writes_dst(in.op) && r == in.dst) continue;
-      if ((live_out_word(pc, r / 64) & bit(r)) != 0) continue;
-      auto& d = deaths[pc];
-      if (std::find(d.begin(), d.end(), r) == d.end()) d.push_back(r);
+    const auto first = static_cast<std::ptrdiff_t>(death_regs.size());
+    if (reached[pc] != 0) {
+      const Instr& in = fn.code[pc];
+      const std::uint16_t* a = fn.arg_pool.data() + in.args_off;
+      for (std::size_t i = 0; i < in.args_count; ++i) {
+        const std::uint16_t r = a[i];
+        if (writes_dst(in.op) && r == in.dst) continue;
+        if (live.live_out(pc, r)) continue;
+        if (std::find(death_regs.begin() + first, death_regs.end(), r) ==
+            death_regs.end()) {
+          death_regs.push_back(r);
+        }
+      }
+      std::sort(death_regs.begin() + first, death_regs.end());
     }
-    std::sort(deaths[pc].begin(), deaths[pc].end());
+    out.plan.death_off[pc + 1] = static_cast<std::uint32_t>(death_regs.size());
   }
-  for (std::size_t pc = 0; pc < n; ++pc) {
-    out.plan.death_off[pc + 1] =
-        out.plan.death_off[pc] +
-        static_cast<std::uint32_t>(deaths[pc].size());
-    out.plan.death_regs.insert(out.plan.death_regs.end(), deaths[pc].begin(),
-                               deaths[pc].end());
-  }
+  const auto deaths = [&](std::size_t pc) {
+    return std::span<const std::uint16_t>(
+        death_regs.data() + out.plan.death_off[pc],
+        out.plan.death_off[pc + 1] - out.plan.death_off[pc]);
+  };
 
   // --- 4. physically-held pass + peak ---------------------------------------
   // Mirrors the planned VM exactly: held' = (held ∪ def) \ deaths. The raw
@@ -830,15 +804,16 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
     for (std::size_t r = 0; r < fn.n_params; ++r) entry_row[r / 64] |= bit(r);
     (void)held_flow(0, entry_row);
     std::vector<std::size_t> hw{0};
+    std::vector<std::uint64_t> row;  // scratch: reused by every visit
     while (!hw.empty()) {
       const std::size_t pc = hw.back();
       hw.pop_back();
       const Instr& in = fn.code[pc];
-      std::vector<std::uint64_t> row(
-          held_in.begin() + static_cast<std::ptrdiff_t>(pc * words),
-          held_in.begin() + static_cast<std::ptrdiff_t>((pc + 1) * words));
+      const auto first = static_cast<std::ptrdiff_t>(pc * words);
+      row.assign(held_in.begin() + first,
+                 held_in.begin() + first + static_cast<std::ptrdiff_t>(words));
       if (writes_dst(in.op)) row[in.dst / 64] |= bit(in.dst);
-      for (const std::uint16_t r : deaths[pc]) row[r / 64] &= ~bit(r);
+      for (const std::uint16_t r : deaths(pc)) row[r / 64] &= ~bit(r);
       for_each_succ(in, pc, n, [&](std::size_t succ) {
         if (held_flow(succ, row)) hw.push_back(succ);
       });
@@ -852,10 +827,15 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
     const Instr& in = fn.code[pc];
     const std::uint16_t* a = fn.arg_pool.data() + in.args_off;
 
+    const AbsVal* st = state_at(pc);
     SymBound held_bytes = SymBound::konst(0);
-    for (std::size_t r = 0; r < n_regs; ++r) {
-      if ((held_in[pc * words + r / 64] & bit(r)) == 0) continue;
-      held_bytes = held_bytes.plus(bytes_of(in_state[pc][r]));
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = held_in[pc * words + w]; bits != 0;
+           bits &= bits - 1) {
+        const std::size_t r =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        held_bytes = held_bytes.plus(bytes_of(st[r]));
+      }
     }
     SymBound transient = SymBound::konst(0);
     if (in.op == Op::kCall) {
@@ -863,7 +843,7 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
           static_cast<std::size_t>(in.aux) < resolved_.size() &&
           resolved_[static_cast<std::size_t>(in.aux)] != 0) {
         const Summary& s = summaries_[static_cast<std::size_t>(in.aux)];
-        const SymBound scale = call_scale(in, a, in_state[pc], 0);
+        const SymBound scale = call_scale(in, a, st, 0);
         transient = scale.is_top() ? (s.peak == SymBound::konst(0)
                                           ? SymBound::konst(0)
                                           : SymBound::top())
@@ -874,13 +854,13 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
     } else if (in.op == Op::kCallIndirect) {
       transient = SymBound::top();
     } else if (allocates(in)) {
-      transient = bytes_of(transfer_value(fn, in, a, in_state[pc]));
+      transient = bytes_of(transfer_value(fn, in, a, st));
       out.plan.static_allocs += 1;
     }
     raw_peak = raw_peak.max(held_bytes.plus(transient));
 
     if (in.op == Op::kRet) {
-      out.summary.result = join(out.summary.result, in_state[pc][a[0]]);
+      out.summary.result = join(out.summary.result, st[a[0]]);
     }
   }
   if (out.summary.result.tag == AbsVal::kUnset) {
@@ -906,8 +886,13 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (reached[pc] == 0) continue;
       const Instr& in = fn.code[pc];
+      const AbsVal* st = state_at(pc);
       for (std::size_t r = 0; r < n_regs; ++r) {
-        joined[r] = join(joined[r], in_state[pc][r]);
+        // Joining unset changes nothing, and top absorbs everything.
+        if (st[r].tag == AbsVal::kUnset || joined[r].tag == AbsVal::kTop) {
+          continue;
+        }
+        joined[r] = join(joined[r], st[r]);
       }
       const std::uint16_t* a = fn.arg_pool.data() + in.args_off;
       for (std::size_t i = 0; i < in.args_count; ++i) {
@@ -968,7 +953,7 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
       // M301: a computed value nothing ever reads.
       if (writes_dst(in.op) && in.op != Op::kCall &&
           in.op != Op::kCallIndirect &&
-          (live_out_word(pc, in.dst / 64) & bit(in.dst)) == 0) {
+          !live.live_out(pc, in.dst)) {
         warn("M301",
              "dead store: r" + std::to_string(in.dst) +
                  " is written but never read",
@@ -977,7 +962,7 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
       // M303: a copy whose source dies at the copy.
       if (in.op == Op::kMove) {
         const std::uint16_t src = fn.arg_pool[in.args_off];
-        if (std::binary_search(deaths[pc].begin(), deaths[pc].end(), src)) {
+        if (std::ranges::binary_search(deaths(pc), src)) {
           warn("M303",
                "redundant copy: r" + std::to_string(src) +
                    " dies here; the move could be elided",
@@ -1005,8 +990,7 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
         if (uses == 1) {
           const Instr& user = fn.code[use_pc];
           if (user.op == Op::kReduce && user.depth == 0 &&
-              std::binary_search(deaths[use_pc].begin(),
-                                 deaths[use_pc].end(), in.dst)) {
+              std::ranges::binary_search(deaths(use_pc), in.dst)) {
             warn("M302",
                  "r" + std::to_string(in.dst) +
                      " is materialized only to feed the reduction at pc " +
@@ -1092,9 +1076,45 @@ PlanResult plan_module(const vm::Module& m) {
   const std::size_t n = m.functions.size();
   std::vector<Summary> summaries(n);
   std::vector<char> resolved(n, 0);
+  std::vector<Report> reports(n);
+  out.plan.functions.resize(n);
+  Analyzer analyzer(m, summaries, resolved);
 
-  // Bottom-up summary resolution; anything in a call cycle stays
-  // unresolved and composes as unbounded.
+  // Bottom-up summary resolution. A function resolves once all its
+  // callees have, and a resolved summary never changes, so the one
+  // analysis that resolves a function is also its final plan and report.
+  for (std::size_t pass = 0; pass <= n; ++pass) {
+    bool progress = false;
+    for (std::size_t f = 0; f < n; ++f) {
+      if (resolved[f] != 0) continue;
+      if (!callees_resolved(m.functions[f], f, resolved)) continue;
+      FnResult r = analyzer.analyze(f, &reports[f]);
+      summaries[f] = r.summary;
+      out.plan.functions[f] = std::move(r.plan);
+      resolved[f] = 1;
+      progress = true;
+    }
+    if (!progress) break;
+  }
+
+  // Functions in, or calling into, a call cycle stay unresolved and
+  // compose as unbounded; they are planned against the final summaries.
+  for (std::size_t f = 0; f < n; ++f) {
+    if (resolved[f] == 0) {
+      out.plan.functions[f] = analyzer.analyze(f, &reports[f]).plan;
+    }
+  }
+  for (const Report& r : reports) out.report.merge(r);
+  return out;
+}
+
+namespace detail {
+
+PlanResult plan_module_two_pass(const vm::Module& m) {
+  PlanResult out;
+  const std::size_t n = m.functions.size();
+  std::vector<Summary> summaries(n);
+  std::vector<char> resolved(n, 0);
   for (std::size_t pass = 0; pass <= n; ++pass) {
     bool progress = false;
     Analyzer analyzer(m, summaries, resolved);
@@ -1107,7 +1127,6 @@ PlanResult plan_module(const vm::Module& m) {
     }
     if (!progress) break;
   }
-
   Analyzer analyzer(m, summaries, resolved);
   out.plan.functions.resize(n);
   for (std::size_t f = 0; f < n; ++f) {
@@ -1115,6 +1134,8 @@ PlanResult plan_module(const vm::Module& m) {
   }
   return out;
 }
+
+}  // namespace detail
 
 std::uint64_t input_scale(const std::vector<kernels::VValue>& args) {
   std::uint64_t n = 0;

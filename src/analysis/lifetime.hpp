@@ -130,7 +130,16 @@ struct PlanResult {
 /// register files unguarded, exactly like the verifier's dataflow.
 /// Deterministic: equal modules produce equal plans (the B217 load-time
 /// consistency check in vm/module_io.cpp depends on this).
+/// Each function is analyzed once: bottom-up as its callees resolve, or,
+/// in or above a call cycle, at the end against the final summaries.
 [[nodiscard]] PlanResult plan_module(const vm::Module& m);
+
+namespace detail {
+/// plan_module's former schedule: every function analyzed once for its
+/// summary and again for its plan. Equal output by construction; kept
+/// only as the oracle the analyze-once schedule is tested against.
+[[nodiscard]] PlanResult plan_module_two_pass(const vm::Module& m);
+}  // namespace detail
 
 /// Total leaf scalars across an argument list — the concrete N a
 /// function's symbolic bounds are expressed over.

@@ -8,6 +8,7 @@
 
 #include "rt/governor.hpp"
 #include "vl/check.hpp"
+#include "vl/elementwise.hpp"
 
 namespace proteus::interp {
 
@@ -297,12 +298,14 @@ class Eval {
       case Prim::kDiv:
         if (a[0].is_int()) {
           if (a[1].as_int() == 0) eval_fail("division by zero");
-          return Value::ints(a[0].as_int() / a[1].as_int());
+          return Value::ints(
+              vl::detail::checked_div(a[0].as_int(), a[1].as_int()));
         }
         return Value::reals(a[0].as_real() / a[1].as_real());
       case Prim::kMod:
         if (a[1].as_int() == 0) eval_fail("mod by zero");
-        return Value::ints(a[0].as_int() % a[1].as_int());
+        return Value::ints(
+            vl::detail::checked_mod(a[0].as_int(), a[1].as_int()));
       case Prim::kNeg:
         return a[0].is_int() ? Value::ints(-a[0].as_int())
                              : Value::reals(-a[0].as_real());

@@ -44,10 +44,10 @@ VValue scalar2(Prim op, const VValue& a, const VValue& b) {
         return VValue::ints(x * y);
       case Prim::kDiv:
         if (y == 0) eval_fail("division by zero");
-        return VValue::ints(x / y);
+        return VValue::ints(vl::detail::checked_div(x, y));
       case Prim::kMod:
         if (y == 0) eval_fail("mod by zero");
-        return VValue::ints(x % y);
+        return VValue::ints(vl::detail::checked_mod(x, y));
       case Prim::kMin:
         return VValue::ints(x < y ? x : y);
       case Prim::kMax:

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <unordered_map>
 
 #include "vl/check.hpp"
@@ -221,7 +222,12 @@ class Scanner {
       auto [ptr, ec] =
           std::from_chars(text.data(), text.data() + text.size(), value);
       if (ec != std::errc{} || ptr != text.data() + text.size()) {
-        fail("integer literal out of range: " + text);
+        // 2^63 is the magnitude of INT64_MIN and nothing else: it lexes to
+        // INT64_MIN, which the parser accepts only after a unary minus.
+        if (text != "9223372036854775808") {
+          fail("integer literal out of range: " + text);
+        }
+        value = std::numeric_limits<vl::Int>::min();
       }
       t.int_value = value;
     }

@@ -1,5 +1,6 @@
 #include "lang/parser.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "lang/lexer.hpp"
@@ -9,6 +10,9 @@
 namespace proteus::lang {
 
 namespace {
+
+/// The lexer's value for the literal 9223372036854775808 (see lexer.cpp).
+constexpr vl::Int kIntMinMagnitude = std::numeric_limits<vl::Int>::min();
 
 class Parser {
  public:
@@ -313,6 +317,10 @@ class Parser {
   ExprPtr unary_expr() {
     if (at(Tok::kMinus)) {
       SourceLoc loc = advance().loc;
+      if (at(Tok::kIntLit) && peek().int_value == kIntMinMagnitude) {
+        // -9223372036854775808 is INT64_MIN itself, not neg of an int.
+        return make_expr(IntLit{advance().int_value}, nullptr, loc);
+      }
       return prim_call("neg", {unary_expr()}, loc);
     }
     if (at(Tok::kHash)) {
@@ -369,6 +377,9 @@ class Parser {
   ExprPtr primary_expr() {
     SourceLoc loc = peek().loc;
     if (at(Tok::kIntLit)) {
+      if (peek().int_value == kIntMinMagnitude) {
+        fail("integer literal out of range: " + peek().text);
+      }
       return make_expr(IntLit{advance().int_value}, nullptr, loc);
     }
     if (at(Tok::kRealLit)) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
 
 #include "vl/kernel.hpp"
@@ -67,13 +68,21 @@ Vec<R> zip_sv(T a, const Vec<U>& b, F&& f) {
 [[noreturn]] void throw_div_by_zero();
 [[noreturn]] void throw_mod_by_zero();
 
+/// Integer division truncates. A divisor of -1 gives the wrapping
+/// negation, so INT64_MIN / -1 is INT64_MIN (the hardware division
+/// traps on it); see docs/LANGUAGE.md.
 inline Int checked_div(Int a, Int b) {
   if (b == 0) throw_div_by_zero();
+  if (b == -1) {
+    return static_cast<Int>(std::uint64_t{0} - static_cast<std::uint64_t>(a));
+  }
   return a / b;
 }
 
+/// The remainder of truncating division; 0 for a divisor of -1.
 inline Int checked_mod(Int a, Int b) {
   if (b == 0) throw_mod_by_zero();
+  if (b == -1) return 0;
   return a % b;
 }
 

@@ -5,6 +5,7 @@
 
 #include "lang/types.hpp"
 #include "seq/extract_insert.hpp"
+#include "vm/cfg.hpp"
 #include "vm/compile.hpp"
 
 namespace proteus::vm {
@@ -54,19 +55,6 @@ Kind kind_of_constant(const kernels::VValue& v) {
   if (v.is_tuple()) return Kind::tuple();
   if (v.is_fun()) return Kind::fun();
   return Kind::scalar();
-}
-
-/// True when the opcode writes Instr::dst.
-bool writes_dst(Op op) {
-  switch (op) {
-    case Op::kBranchEmpty:
-    case Op::kJump:
-    case Op::kJumpIfFalse:
-    case Op::kRet:
-      return false;
-    default:
-      return true;
-  }
 }
 
 /// Expected operand count for an opcode, or -1 when variable.
@@ -474,21 +462,7 @@ class Verifier {
       std::vector<Kind> state = in_state[pc];
       const Instr& in = fn.code[pc];
       transfer(in, pc, state);
-      switch (in.op) {
-        case Op::kRet:
-          break;
-        case Op::kJump:
-          flow_to(static_cast<std::size_t>(in.aux), state);
-          break;
-        case Op::kJumpIfFalse:
-        case Op::kBranchEmpty:
-          flow_to(static_cast<std::size_t>(in.aux), state);
-          flow_to(pc + 1, state);
-          break;
-        default:
-          flow_to(pc + 1, state);
-          break;
-      }
+      for_each_succ(in, pc, n, [&](std::size_t succ) { flow_to(succ, state); });
     }
   }
 

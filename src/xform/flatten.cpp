@@ -1,8 +1,7 @@
 #include "xform/flatten.hpp"
 
-#include <map>
+#include <algorithm>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "vl/check.hpp"
@@ -26,11 +25,56 @@ struct VarInfo {
   TypePtr type;  // current (frame) type
 };
 
-/// Lexical transformation context (copied down the tree).
+/// Variable names are interned per flattening run.
+using VarId = FreeVars::Id;
+using VarSet = FreeVars::Set;
+
+/// Lexical transformation context: a chain of scopes, innermost first.
+/// Each scope lives in the frame of the tau call that opens it, so a child
+/// never outlives its parent and nothing is copied down the tree.
 struct Ctx {
-  std::map<std::string, VarInfo> vars;
-  std::string witness;   // a variable holding a conformable depth-j frame
-  TypePtr witness_type;  // its type (only meaningful when depth >= 1)
+  struct Binding {
+    VarId var;
+    VarInfo info;
+  };
+
+  const Ctx* parent = nullptr;
+  /// Frame variables bound outside this scope are invisible inside it: an
+  /// iterator body or a hoisted subexpression sees only broadcast ones.
+  bool barrier = false;
+  std::vector<Binding> bindings;  // a later binding shadows an earlier one
+  /// A variable holding a conformable depth-j frame, and its type (only
+  /// meaningful when depth >= 1); null outside any frame.
+  const std::string* witness = nullptr;
+  const TypePtr* witness_type = nullptr;
+
+  /// A scope nested in `outer`, inheriting its witness.
+  static Ctx nested(const Ctx& outer) {
+    Ctx c;
+    c.parent = &outer;
+    c.witness = outer.witness;
+    c.witness_type = outer.witness_type;
+    return c;
+  }
+
+  /// The variable as visible here, or nullptr when unbound.
+  [[nodiscard]] const VarInfo* find(VarId var) const {
+    bool crossed = false;
+    for (const Ctx* c = this; c != nullptr; c = c->parent) {
+      for (auto it = c->bindings.rbegin(); it != c->bindings.rend(); ++it) {
+        if (it->var != var) continue;
+        if (crossed && it->info.cls == VarClass::kFrame) return nullptr;
+        return &it->info;
+      }
+      crossed = crossed || c->barrier;
+    }
+    return nullptr;
+  }
+
+  [[nodiscard]] bool is_frame(VarId var) const {
+    const VarInfo* info = find(var);
+    return info != nullptr && info->cls == VarClass::kFrame;
+  }
 };
 
 struct Res {
@@ -60,7 +104,7 @@ class Flattener {
     }
     scan_function_values();
     drain_worklist();
-    return {std::move(output_), std::move(rules_)};
+    return {std::move(output_), rule_counts()};
   }
 
   ExprPtr run_expression(const ExprPtr& expr) {
@@ -76,7 +120,7 @@ class Flattener {
   }
 
   FlattenedProgram take_program() {
-    return {std::move(output_), std::move(rules_)};
+    return {std::move(output_), rule_counts()};
   }
 
  private:
@@ -85,7 +129,8 @@ class Flattener {
   void transform_function(const FunDef& f) {
     Ctx ctx;
     for (const Param& p : f.params) {
-      ctx.vars[p.name] = VarInfo{VarClass::kBroadcast, p.type};
+      ctx.bindings.push_back(
+          {free_.id(p.name), {VarClass::kBroadcast, p.type}});
     }
     Res r = tau(f.body, 0, ctx);
     FunDef out = f;
@@ -224,7 +269,8 @@ class Flattener {
 
     Ctx ctx;
     for (const Param& p : ext_params) {
-      ctx.vars[p.name] = VarInfo{VarClass::kBroadcast, p.type};
+      ctx.bindings.push_back(
+          {free_.id(p.name), {VarClass::kBroadcast, p.type}});
     }
     Res r = tau(iter, 0, ctx);
 
@@ -240,12 +286,25 @@ class Flattener {
 
   // --- the transformation tau(e, j) -------------------------------------------
 
+  RuleCounts rule_counts() const {
+    RuleCounts out;
+    for (const auto& [name, count] : rules_) out[name] += count;
+    return out;
+  }
+
   /// Tallies a rule firing and, when a tracer is installed, records it
   /// as a "rule" instant event carrying the depth and a source snippet
   /// (the KIDS-style derivation annotation of Section 5). The textual
   /// derivation and the Chrome trace both render from these events.
   void log_rule(const char* rule, const ExprPtr& e, int j) {
-    rules_[rule] += 1;
+    const auto it =
+        std::find_if(rules_.begin(), rules_.end(),
+                     [&](const auto& r) { return r.first == rule; });
+    if (it != rules_.end()) {
+      it->second += 1;
+    } else {
+      rules_.emplace_back(rule, 1);
+    }
     obs::Tracer* t = obs::tracer();
     if (t == nullptr) return;
     std::string text = to_text(e);
@@ -263,9 +322,8 @@ class Flattener {
         log_rule("hoist", e, j);
       }
       Ctx base;
-      for (const auto& [name, info] : ctx.vars) {
-        if (info.cls == VarClass::kBroadcast) base.vars.emplace(name, info);
-      }
+      base.parent = &ctx;
+      base.barrier = true;
       Res r = tau(e, 0, base);
       return {r.expr, false};
     }
@@ -274,22 +332,33 @@ class Flattener {
   }
 
   bool has_free_frame_var(const ExprPtr& e, const Ctx& ctx) {
-    const std::set<std::string>& free = cached_free_vars(e);
-    for (const std::string& name : free) {
-      auto it = ctx.vars.find(name);
-      if (it != ctx.vars.end() && it->second.cls == VarClass::kFrame) {
-        return true;
-      }
+    for (const VarId var : free_.of(e)) {
+      if (ctx.is_frame(var)) return true;
     }
     return false;
   }
 
-  const std::set<std::string>& cached_free_vars(const ExprPtr& e) {
-    // Keyed on the shared_ptr (not the raw address): holding the node
-    // alive prevents a recycled allocation from aliasing a stale entry.
-    auto it = free_cache_.find(e);
-    if (it != free_cache_.end()) return it->second;
-    return free_cache_.emplace(e, free_vars(e)).first->second;
+  struct FrameVar {
+    const std::string* name;
+    const VarInfo* info;
+  };
+
+  /// The frame variables of `ctx` among `vars`, in name order (the order
+  /// the rebinding lets are emitted in).
+  std::vector<FrameVar> frame_vars_by_name(const VarSet& vars,
+                                           const Ctx& ctx) const {
+    std::vector<FrameVar> out;
+    for (const VarId var : vars) {
+      const VarInfo* info = ctx.find(var);
+      if (info != nullptr && info->cls == VarClass::kFrame) {
+        out.push_back({&free_.name(var), info});
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const FrameVar& x, const FrameVar& y) {
+                return *x.name < *y.name;
+              });
+    return out;
   }
 
   // R2b: constants are unchanged (depth-0, broadcast).
@@ -307,27 +376,27 @@ class Flattener {
   // frame type.
   Res tau_node(const VarRef& n, const ExprPtr& e, int j, const Ctx& ctx) {
     log_rule("R2a", e, j);
-    auto it = ctx.vars.find(n.name);
-    if (it == ctx.vars.end()) {
+    const VarInfo* info = ctx.find(free_.id(n.name));
+    if (info == nullptr) {
       // Top-level function name used as a value (R2f: functions are fully
       // parameterized, hence independent of surrounding iterators).
       PROTEUS_REQUIRE(TransformError, n.is_function,
                       "unbound variable '" + n.name + "' during flattening");
       return {e, false};
     }
-    const VarInfo& info = it->second;
-    ExprPtr var = nb::var(n.name, info.type);
-    return {var, info.cls == VarClass::kFrame};
+    ExprPtr var = nb::var(n.name, info->type);
+    return {var, info->cls == VarClass::kFrame};
   }
 
   // R2e: let.
   Res tau_node(const Let& n, const ExprPtr& e0, int j, const Ctx& ctx) {
     log_rule("R2e", e0, j);
     Res init = tau(n.init, j, ctx);
-    Ctx inner = ctx;
-    inner.vars[n.var] =
-        VarInfo{init.frame ? VarClass::kFrame : VarClass::kBroadcast,
-                init.expr->type};
+    Ctx inner = Ctx::nested(ctx);
+    inner.bindings.push_back(
+        {free_.id(n.var),
+         {init.frame ? VarClass::kFrame : VarClass::kBroadcast,
+          init.expr->type}});
     Res body = tau(n.body, j, inner);
     return {nb::let(n.var, init.expr, body.expr), body.frame};
   }
@@ -382,20 +451,19 @@ class Flattener {
     // Restricted environment: rebind occurring frame variables, and bind a
     // fresh witness with the restricted shape (restrict(M, M), which the
     // paper also uses for the guard).
-    Ctx inner = ctx;
-    std::string wname = names_.fresh("w");
+    Ctx inner = Ctx::nested(ctx);
+    const std::string wname = names_.fresh("w");
     ExprPtr witness_init = restrict_ext(mask_var, mask_var, j);
-    inner.witness = wname;
-    inner.witness_type = witness_init->type;
+    inner.witness = &wname;
+    inner.witness_type = &witness_init->type;
 
     std::vector<std::pair<std::string, ExprPtr>> rebinds;
     rebinds.emplace_back(wname, witness_init);
-    inner.vars[wname] = VarInfo{VarClass::kFrame, witness_init->type};
-    for (const std::string& name : cached_free_vars(branch)) {
-      auto it = ctx.vars.find(name);
-      if (it == ctx.vars.end() || it->second.cls != VarClass::kFrame) continue;
-      ExprPtr vvar = nb::var(name, it->second.type);
-      rebinds.emplace_back(name, restrict_ext(vvar, mask_var, j));
+    inner.bindings.push_back(
+        {free_.id(wname), {VarClass::kFrame, witness_init->type}});
+    for (const FrameVar& v : frame_vars_by_name(free_.of(branch), ctx)) {
+      ExprPtr vvar = nb::var(*v.name, v.info->type);
+      rebinds.emplace_back(*v.name, restrict_ext(vvar, mask_var, j));
     }
 
     Res body = tau(branch, j, inner);
@@ -450,39 +518,37 @@ class Flattener {
                : nb::prim_d(Prim::kRange1, j, {ibvar}, {1},
                             Type::seq_n(Type::seq(Type::int_()), j));
 
-    Ctx inner;
     // Broadcast variables remain visible; stale frame variables (not
     // dist'ed below) are dropped.
-    for (const auto& [name, info] : ctx.vars) {
-      if (info.cls == VarClass::kBroadcast) inner.vars.emplace(name, info);
-    }
+    Ctx inner;
+    inner.parent = &ctx;
+    inner.barrier = true;
 
     // dist every frame variable occurring in the body through the new
     // iterator level.
     std::vector<std::pair<std::string, ExprPtr>> rebinds;
     if (j >= 1) {
-      for (const std::string& name : cached_free_vars(n.body)) {
-        if (name == n.var) continue;
-        auto it = ctx.vars.find(name);
-        if (it == ctx.vars.end() || it->second.cls != VarClass::kFrame) {
-          continue;
-        }
-        ExprPtr vvar = nb::var(name, it->second.type);
+      for (const FrameVar& v : frame_vars_by_name(free_.of(n.body), ctx)) {
+        if (*v.name == n.var) continue;
+        const TypePtr& type = v.info->type;
+        ExprPtr vvar = nb::var(*v.name, type);
         ExprPtr dist = nb::prim_d(Prim::kDist, j, {vvar, ibvar}, {1, 1},
-                                  Type::seq_n(strip_seq(it->second.type, j),
-                                              j + 1));
-        rebinds.emplace_back(name, dist);
-        inner.vars[name] = VarInfo{VarClass::kFrame, dist->type};
+                                  Type::seq_n(strip_seq(type, j), j + 1));
+        rebinds.emplace_back(*v.name, dist);
+        inner.bindings.push_back(
+            {free_.id(*v.name), {VarClass::kFrame, dist->type}});
       }
     }
 
     // Bind the index variable and a fresh, unshadowable witness alias.
     const TypePtr index_type = index_frame->type;
-    inner.vars[n.var] = VarInfo{VarClass::kFrame, index_type};
-    std::string wname = names_.fresh("w");
-    inner.vars[wname] = VarInfo{VarClass::kFrame, index_type};
-    inner.witness = wname;
-    inner.witness_type = index_type;
+    inner.bindings.push_back(
+        {free_.id(n.var), {VarClass::kFrame, index_type}});
+    const std::string wname = names_.fresh("w");
+    inner.bindings.push_back(
+        {free_.id(wname), {VarClass::kFrame, index_type}});
+    inner.witness = &wname;
+    inner.witness_type = &index_type;
 
     Res body = tau(n.body, j + 1, inner);
     ExprPtr value =
@@ -667,18 +733,18 @@ class Flattener {
   /// (Section 3's uniform conversion, composed from Table 2 and Section 4
   /// primitives.)
   ExprPtr lift(const ExprPtr& value, int j, const Ctx& ctx) {
-    PROTEUS_REQUIRE(TransformError, j >= 1 && !ctx.witness.empty(),
+    PROTEUS_REQUIRE(TransformError, j >= 1 && ctx.witness != nullptr,
                     "internal: no frame witness available for replication");
     PROTEUS_REQUIRE(TransformError, !value->type->is_fun(),
                     "function values cannot be replicated into frames");
-    ExprPtr w = nb::var(ctx.witness, ctx.witness_type);
+    ExprPtr w = nb::var(*ctx.witness, *ctx.witness_type);
     if (j == 1) {
       ExprPtr n = nb::prim(Prim::kLength, {w});
       return nb::prim(Prim::kDist, {value, n});
     }
     ExprPtr flat = nb::prim_d(Prim::kExtract, 0,
                               {w, nb::int_lit(j - 1)}, {},
-                              strip_seq(ctx.witness_type, j - 1));
+                              strip_seq(*ctx.witness_type, j - 1));
     ExprPtr n = nb::prim(Prim::kLength, {flat});
     ExprPtr d = nb::prim(Prim::kDist, {value, n});
     return nb::prim_d(Prim::kInsert, 0, {d, w, nb::int_lit(j - 1)}, {},
@@ -689,10 +755,11 @@ class Flattener {
   NameGen& names_;
   FlattenOptions opts_;
   Program output_;
-  RuleCounts rules_;
+  /// Firings per rule name; names are literals, so few distinct pointers.
+  std::vector<std::pair<const char*, std::uint64_t>> rules_;
   std::set<std::string> generated_;
   std::vector<std::string> worklist_;
-  std::unordered_map<ExprPtr, std::set<std::string>> free_cache_;
+  FreeVars free_;
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "xform/optimize.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "vl/check.hpp"
 #include "xform/freevars.hpp"
@@ -31,63 +32,94 @@ bool is_dist_of_var(const ExprPtr& init, ExprPtr* source, ExprPtr* counts,
   return true;
 }
 
+/// Rebuilds `e` with `f` applied to each child, or returns `e` itself
+/// when `f` changes no child, so untouched subtrees stay shared. Leaves
+/// Let to the caller; literals and variables have no children, and
+/// un-flattened nodes (Iterator, Call, Lambda) come back intact.
+template <typename F>
+ExprPtr map_children(const ExprPtr& e, F&& f) {
+  const auto map_all = [&](const std::vector<ExprPtr>& items,
+                           std::vector<ExprPtr>& out) {
+    bool changed = false;
+    out.reserve(items.size());
+    for (const ExprPtr& it : items) {
+      out.push_back(f(it));
+      changed = changed || out.back() != it;
+    }
+    return changed;
+  };
+  return std::visit(
+      [&](const auto& node) -> ExprPtr {
+        using T = std::decay_t<decltype(node)>;
+        if constexpr (std::is_same_v<T, If>) {
+          ExprPtr c = f(node.cond);
+          ExprPtr t = f(node.then_expr);
+          ExprPtr x = f(node.else_expr);
+          if (c == node.cond && t == node.then_expr && x == node.else_expr) {
+            return e;
+          }
+          return make_expr(If{std::move(c), std::move(t), std::move(x)},
+                           e->type, e->loc);
+        } else if constexpr (std::is_same_v<T, PrimCall>) {
+          std::vector<ExprPtr> args;
+          if (!map_all(node.args, args)) return e;
+          return make_expr(
+              PrimCall{node.op, node.depth, std::move(args), node.lifted},
+              e->type, e->loc);
+        } else if constexpr (std::is_same_v<T, FunCall>) {
+          std::vector<ExprPtr> args;
+          if (!map_all(node.args, args)) return e;
+          return make_expr(
+              FunCall{node.name, node.depth, std::move(args), node.lifted},
+              e->type, e->loc);
+        } else if constexpr (std::is_same_v<T, IndirectCall>) {
+          ExprPtr fn = f(node.fn);
+          std::vector<ExprPtr> args;
+          if (!map_all(node.args, args) && fn == node.fn) return e;
+          return make_expr(IndirectCall{std::move(fn), node.depth,
+                                        std::move(args), node.lifted},
+                           e->type, e->loc);
+        } else if constexpr (std::is_same_v<T, TupleExpr>) {
+          std::vector<ExprPtr> elems;
+          if (!map_all(node.elems, elems)) return e;
+          return make_expr(TupleExpr{std::move(elems), node.depth}, e->type,
+                           e->loc);
+        } else if constexpr (std::is_same_v<T, TupleGet>) {
+          ExprPtr t = f(node.tuple);
+          if (t == node.tuple) return e;
+          return make_expr(TupleGet{std::move(t), node.index, node.depth},
+                           e->type, e->loc);
+        } else if constexpr (std::is_same_v<T, SeqExpr>) {
+          std::vector<ExprPtr> elems;
+          if (!map_all(node.elems, elems)) return e;
+          return make_expr(
+              SeqExpr{std::move(elems), node.elem_type, node.depth}, e->type,
+              e->loc);
+        } else {
+          return e;
+        }
+      },
+      e->node);
+}
+
+bool is_flattened(const ExprPtr& e) {
+  return as<Iterator>(e) == nullptr && as<Call>(e) == nullptr &&
+         as<LambdaExpr>(e) == nullptr;
+}
+
 class SharedRows {
  public:
   ExprPtr rewrite(const ExprPtr& e) {
     if (e == nullptr) return nullptr;
-    return std::visit(
-        [&](const auto& node) { return rewrite_node(node, e); }, e->node);
-  }
-
- private:
-  template <typename T>
-  ExprPtr rewrite_node(const T& node, const ExprPtr& e) {
-    if constexpr (std::is_same_v<T, Let>) {
-      return rewrite_let(node, e);
-    } else if constexpr (std::is_same_v<T, IntLit> ||
-                         std::is_same_v<T, RealLit> ||
-                         std::is_same_v<T, BoolLit> ||
-                         std::is_same_v<T, VarRef>) {
-      return e;
-    } else if constexpr (std::is_same_v<T, If>) {
-      return make_expr(If{rewrite(node.cond), rewrite(node.then_expr),
-                          rewrite(node.else_expr)},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, PrimCall>) {
-      return make_expr(
-          PrimCall{node.op, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, FunCall>) {
-      return make_expr(
-          FunCall{node.name, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, IndirectCall>) {
-      return make_expr(IndirectCall{rewrite(node.fn), node.depth,
-                                    rewrite_all(node.args), node.lifted},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleExpr>) {
-      return make_expr(TupleExpr{rewrite_all(node.elems), node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleGet>) {
-      return make_expr(TupleGet{rewrite(node.tuple), node.index, node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, SeqExpr>) {
-      return make_expr(
-          SeqExpr{rewrite_all(node.elems), node.elem_type, node.depth},
-          e->type, e->loc);
-    } else {
+    if (const auto* let = as<Let>(e)) return rewrite_let(*let, e);
+    if (!is_flattened(e)) {
       throw TransformError(
           "optimizer expects flattened input (Iterator/Call/Lambda found)");
     }
+    return map_children(e, [&](const ExprPtr& c) { return rewrite(c); });
   }
 
-  std::vector<ExprPtr> rewrite_all(const std::vector<ExprPtr>& items) {
-    std::vector<ExprPtr> out;
-    out.reserve(items.size());
-    for (const ExprPtr& it : items) out.push_back(rewrite(it));
-    return out;
-  }
-
+ private:
   ExprPtr rewrite_let(const Let& node, const ExprPtr& e) {
     ExprPtr init = rewrite(node.init);
     ExprPtr body = rewrite(node.body);
@@ -104,6 +136,7 @@ class SharedRows {
         return replaced;
       }
     }
+    if (init == node.init && body == node.body) return e;
     return make_expr(Let{node.var, std::move(init), std::move(body)}, e->type,
                      e->loc);
   }
@@ -116,6 +149,9 @@ class SharedRows {
                        const ExprPtr& source, const ExprPtr& counts,
                        int dist_depth, bool* ok) {
     if (e == nullptr || !*ok) return e;
+    const auto recurse = [&](const ExprPtr& child) {
+      return replace_uses(child, name, source, counts, dist_depth, ok);
+    };
     if (const auto* var = as<VarRef>(e)) {
       if (!var->is_function && var->name == name) *ok = false;  // bare use
       return e;
@@ -125,8 +161,7 @@ class SharedRows {
           call->args.size() == 2) {
         const auto* src = as<VarRef>(call->args[0]);
         if (src != nullptr && !src->is_function && src->name == name) {
-          ExprPtr idx = replace_uses(call->args[1], name, source, counts,
-                                     dist_depth, ok);
+          ExprPtr idx = recurse(call->args[1]);
           return make_expr(PrimCall{Prim::kSeqIndexInner, dist_depth,
                                     {source, std::move(idx)},
                                     {1, 1}},
@@ -147,16 +182,9 @@ class SharedRows {
                            e->type, e->loc);
         }
       }
-      std::vector<ExprPtr> args;
-      for (const ExprPtr& a : call->args) {
-        args.push_back(replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(PrimCall{call->op, call->depth, std::move(args),
-                                call->lifted},
-                       e->type, e->loc);
     }
     if (const auto* let = as<Let>(e)) {
-      ExprPtr init = replace_uses(let->init, name, source, counts, dist_depth, ok);
+      ExprPtr init = recurse(let->init);
       // A binder shadowing the replicated variable, the shared source, or
       // the replication counts ends the region where the rewrite is sound.
       const auto* src_var = as<VarRef>(source);
@@ -170,133 +198,59 @@ class SharedRows {
         // uses of the replicated variable there cannot be rewritten.
         if (occurs_free(let->body, name)) *ok = false;
       } else {
-        body = replace_uses(let->body, name, source, counts, dist_depth, ok);
+        body = recurse(let->body);
       }
+      if (init == let->init && body == let->body) return e;
       return make_expr(Let{let->var, std::move(init), std::move(body)},
                        e->type, e->loc);
     }
-    if (const auto* cond = as<If>(e)) {
-      return make_expr(
-          If{replace_uses(cond->cond, name, source, counts, dist_depth, ok),
-             replace_uses(cond->then_expr, name, source, counts, dist_depth,
-                          ok),
-             replace_uses(cond->else_expr, name, source, counts, dist_depth,
-                          ok)},
-          e->type, e->loc);
-    }
-    if (const auto* fn = as<FunCall>(e)) {
-      std::vector<ExprPtr> args;
-      for (const ExprPtr& a : fn->args) {
-        args.push_back(replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(FunCall{fn->name, fn->depth, std::move(args),
-                               fn->lifted},
-                       e->type, e->loc);
-    }
-    if (const auto* in = as<IndirectCall>(e)) {
-      std::vector<ExprPtr> args;
-      for (const ExprPtr& a : in->args) {
-        args.push_back(replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(
-          IndirectCall{replace_uses(in->fn, name, source, counts, dist_depth,
-                                    ok),
-                       in->depth, std::move(args), in->lifted},
-          e->type, e->loc);
-    }
-    if (const auto* tup = as<TupleExpr>(e)) {
-      std::vector<ExprPtr> elems;
-      for (const ExprPtr& a : tup->elems) {
-        elems.push_back(
-            replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(TupleExpr{std::move(elems), tup->depth}, e->type,
-                       e->loc);
-    }
-    if (const auto* get = as<TupleGet>(e)) {
-      return make_expr(
-          TupleGet{replace_uses(get->tuple, name, source, counts, dist_depth,
-                                ok),
-                   get->index, get->depth},
-          e->type, e->loc);
-    }
-    if (const auto* lit = as<SeqExpr>(e)) {
-      std::vector<ExprPtr> elems;
-      for (const ExprPtr& a : lit->elems) {
-        elems.push_back(
-            replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(SeqExpr{std::move(elems), lit->elem_type, lit->depth},
-                       e->type, e->loc);
-    }
-    return e;  // literals
+    return map_children(e, recurse);
   }
 };
 
-}  // namespace
-
-namespace {
-
+/// Dead-let removal in one bottom-up visit: each node returns its
+/// rewritten form and, through `free`, that form's free variables, so a
+/// let is dead exactly when its variable is missing from its rewritten
+/// body's set — no walk of the body per let.
 class DeadLets {
  public:
   ExprPtr rewrite(const ExprPtr& e) {
-    if (e == nullptr) return nullptr;
-    return std::visit(
-        [&](const auto& node) { return rewrite_node(node, e); }, e->node);
+    FreeVars::Set free;
+    return rewrite(e, free);
   }
 
  private:
-  template <typename T>
-  ExprPtr rewrite_node(const T& node, const ExprPtr& e) {
-    if constexpr (std::is_same_v<T, Let>) {
-      ExprPtr body = rewrite(node.body);
-      if (!occurs_free(body, node.var)) return body;
-      return make_expr(Let{node.var, rewrite(node.init), std::move(body)},
+  ExprPtr rewrite(const ExprPtr& e, FreeVars::Set& free) {
+    if (e == nullptr) return nullptr;
+    if (const auto* let = as<Let>(e)) {
+      ExprPtr body = rewrite(let->body, free);
+      if (!FreeVars::erase(free, vars_.id(let->var))) return body;  // dead
+      FreeVars::Set init_free;
+      ExprPtr init = rewrite(let->init, init_free);
+      FreeVars::unite(free, init_free);
+      if (init == let->init && body == let->body) return e;
+      return make_expr(Let{let->var, std::move(init), std::move(body)},
                        e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, IntLit> ||
-                         std::is_same_v<T, RealLit> ||
-                         std::is_same_v<T, BoolLit> ||
-                         std::is_same_v<T, VarRef>) {
-      return e;
-    } else if constexpr (std::is_same_v<T, If>) {
-      return make_expr(If{rewrite(node.cond), rewrite(node.then_expr),
-                          rewrite(node.else_expr)},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, PrimCall>) {
-      return make_expr(
-          PrimCall{node.op, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, FunCall>) {
-      return make_expr(
-          FunCall{node.name, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, IndirectCall>) {
-      return make_expr(IndirectCall{rewrite(node.fn), node.depth,
-                                    rewrite_all(node.args), node.lifted},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleExpr>) {
-      return make_expr(TupleExpr{rewrite_all(node.elems), node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleGet>) {
-      return make_expr(TupleGet{rewrite(node.tuple), node.index, node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, SeqExpr>) {
-      return make_expr(
-          SeqExpr{rewrite_all(node.elems), node.elem_type, node.depth},
-          e->type, e->loc);
-    } else {
-      // Iterator/Call/Lambda may legitimately appear when the pass is used
-      // on un-flattened trees; leave them intact.
+    }
+    if (const auto* var = as<VarRef>(e)) {
+      if (!var->is_function) free.push_back(vars_.id(var->name));
       return e;
     }
+    if (!is_flattened(e)) {
+      // Iterator/Call/Lambda may legitimately appear when the pass is used
+      // on un-flattened trees; leave them intact.
+      free = vars_.of(e);
+      return e;
+    }
+    return map_children(e, [&](const ExprPtr& c) {
+      FreeVars::Set child_free;
+      ExprPtr out = rewrite(c, child_free);
+      FreeVars::unite(free, child_free);
+      return out;
+    });
   }
 
-  std::vector<ExprPtr> rewrite_all(const std::vector<ExprPtr>& items) {
-    std::vector<ExprPtr> out;
-    out.reserve(items.size());
-    for (const ExprPtr& it : items) out.push_back(rewrite(it));
-    return out;
-  }
+  FreeVars vars_;
 };
 
 }  // namespace

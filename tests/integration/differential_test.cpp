@@ -305,6 +305,42 @@ TEST(Differential, RecursiveScalarFunctionAtDepth1) {
   expect_both(s, "facts", {val("[1,3,5,0]")}, "[1,6,120,1]");
 }
 
+TEST(Differential, DivisionByMinusOneWraps) {
+  // INT64_MIN / -1 overflows, and the hardware division traps on it. The
+  // language defines it as the wrapping negation (INT64_MIN), and
+  // INT64_MIN mod -1 as 0 (docs/LANGUAGE.md). The interpreter, the tree
+  // executor, and the VM at -O1 (where x - 1 and the division by a
+  // parameter fuse into one kernel) and at -O0 all agree.
+  const char* program = R"(
+    fun sdiv(a: int, b: int): int = (a - 1) / b
+    fun smod(a: int, b: int): int = (a - 1) mod b
+    fun vdiv(v: seq(int)): seq(int) = [x <- v : (x - 1) / (0-1)]
+    fun vmod(v: seq(int)): seq(int) = [x <- v : (x - 1) mod (0-1)]
+    fun fdiv(v: seq(int), d: int): seq(int) = [x <- v : (x - 1) / d]
+    fun fmod(v: seq(int), d: int): seq(int) = [x <- v : (x - 1) mod d]
+  )";
+  xform::PipelineOptions unfused;
+  unfused.optimize_vcode = false;
+  for (const xform::PipelineOptions& options :
+       {xform::PipelineOptions{}, unfused}) {
+    Session s(program, {}, options);
+    EXPECT_EQ(s.compiled().fusion.fused_chains > 0, options.optimize_vcode);
+    const interp::Value min = val("-9223372036854775807");
+    expect_both(s, "sdiv", {min, val("-1")}, "-9223372036854775808");
+    expect_both(s, "smod", {min, val("-1")}, "0");
+    expect_both(s, "sdiv", {val("7"), val("-1")}, "-6");
+    expect_both(s, "smod", {val("-6"), val("4")}, "-3");
+    expect_both(s, "vdiv", {val("[-9223372036854775807, 8, 0]")},
+                "[-9223372036854775808, -7, 1]");
+    expect_both(s, "vmod", {val("[-9223372036854775807, 8, 0]")},
+                "[0, 0, 0]");
+    expect_both(s, "fdiv", {val("[-9223372036854775807, 8]"), val("-1")},
+                "[-9223372036854775808, -7]");
+    expect_both(s, "fmod", {val("[-9223372036854775807, 8]"), val("-1")},
+                "[0, 0]");
+  }
+}
+
 TEST(Differential, MaxMinAnyAll) {
   Session s(R"(
     fun rowmax(m: seq(seq(int))): seq(int) = [row <- m : maxval(row)]

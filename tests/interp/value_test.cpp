@@ -1,6 +1,8 @@
 // Tests for boxed values and boxed <-> flat conversions.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/proteus.hpp"
 #include "interp/value.hpp"
 #include "lang/parser.hpp"
@@ -18,6 +20,24 @@ TEST(Value, ScalarsAndAccessors) {
   EXPECT_EQ(Value::fun("f").fun_name(), "f");
   EXPECT_THROW((void)Value::ints(1).as_bool(), EvalError);
   EXPECT_THROW((void)Value::ints(1).as_seq(), EvalError);
+}
+
+TEST(Value, IntExtremesRoundTripThroughText) {
+  // A rendered Int result can be sent back as an argument: INT64_MIN's
+  // literal is a unary minus applied to 9223372036854775808.
+  for (const vl::Int v : {std::numeric_limits<vl::Int>::min(),
+                          std::numeric_limits<vl::Int>::max()}) {
+    const Value x = Value::ints(v);
+    EXPECT_EQ(parse_value(to_text(x)), x) << to_text(x);
+    const Value xs = Value::seq({x, Value::ints(-1), x});
+    EXPECT_EQ(parse_value(to_text(xs)), xs) << to_text(xs);
+  }
+  EXPECT_EQ(to_text(parse_value("-9223372036854775808")),
+            "-9223372036854775808");
+  // 2^63 itself is no int, with or without a binary minus before it.
+  EXPECT_THROW((void)parse_value("9223372036854775808"), SyntaxError);
+  EXPECT_THROW((void)parse_value("0 - 9223372036854775808"), SyntaxError);
+  EXPECT_THROW((void)parse_value("-9223372036854775809"), SyntaxError);
 }
 
 TEST(Value, Equality) {

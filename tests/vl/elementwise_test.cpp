@@ -2,6 +2,8 @@
 // the scalar functions of Table 2).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "seq/build.hpp"
 #include "vl/vl.hpp"
 
@@ -35,6 +37,15 @@ TEST(Elementwise, MulDivMod) {
 TEST(Elementwise, DivByZeroThrows) {
   EXPECT_THROW((void)div(IntVec{1}, IntVec{0}), EvalError);
   EXPECT_THROW((void)mod(IntVec{1}, Int{0}), EvalError);
+}
+
+TEST(Elementwise, DivModByMinusOneNeverTraps) {
+  constexpr Int kMin = std::numeric_limits<Int>::min();
+  constexpr Int kMax = std::numeric_limits<Int>::max();
+  EXPECT_EQ(div(IntVec{kMin, kMax, 5}, Int{-1}), (IntVec{kMin, -kMax, -5}));
+  EXPECT_EQ(div(IntVec{kMin}, IntVec{-1}), (IntVec{kMin}));
+  EXPECT_EQ(mod(IntVec{kMin, kMax, 5}, Int{-1}), (IntVec{0, 0, 0}));
+  EXPECT_EQ(mod(IntVec{kMin}, IntVec{-1}), (IntVec{0}));
 }
 
 TEST(Elementwise, LengthMismatchThrows) {
