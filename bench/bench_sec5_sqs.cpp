@@ -33,7 +33,7 @@ void BM_sqs_reference_interpreter(benchmark::State& state) {
 void BM_sqs_vector_executor(benchmark::State& state) {
   Session session(kProgram, entry(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_entry_vector());
+    benchmark::DoNotOptimize(session.run_entry_vm());
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0) *

@@ -1,6 +1,5 @@
 #include "core/proteus.hpp"
 
-#include <functional>
 #include <map>
 #include <utility>
 
@@ -20,15 +19,67 @@ using lang::TypePtr;
 /// a run_* call.
 using RunScope = obs::MaybeTracerScope;
 
-/// One engine attempt of the degradation ladder (docs/ROBUSTNESS.md).
-/// `run` does everything for a standalone execution — argument
-/// conversion, stats reset, the run span, and metric publication — so a
-/// fallback attempt starts from a clean slate and an injected fault
-/// striking during conversion is absorbed by the same ladder.
-struct Session::Rung {
-  const char* engine;  ///< "vm", "vm-o0", "exec", or "interp"
-  std::function<Value()> run;
-};
+namespace {
+
+/// One run on the bytecode VM: converts `args` to the flat representation
+/// (`param_type(i)` is argument i's source type), runs function `name` of
+/// `module` (its entry expression when null) under one "run" span,
+/// publishes the vm.* metrics into `cost` and converts the result back by
+/// `result`. Everything happens inside the attempt, so a fallback starts
+/// from a clean slate and a fault striking during conversion is absorbed
+/// by the same ladder.
+template <typename ParamType>
+Value run_vm_once(const std::shared_ptr<const vm::Module>& module,
+                  const vm::VMOptions& options, const std::string* name,
+                  const ValueList& args, ParamType&& param_type,
+                  const TypePtr& result, RunCost& cost) {
+  cost = RunCost{};
+  std::vector<kernels::VValue> vargs;
+  vargs.reserve(args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    vargs.push_back(kernels::from_boxed(args[i], param_type(i)));
+  }
+  vm::VM machine(module, options);
+  vl::reset_stats();
+  kernels::VValue out;
+  {
+    obs::Span span("run", "run.vm");
+    out = name != nullptr ? machine.call_function(*name, std::move(vargs))
+                          : machine.eval_entry();
+    cost.vm_ops = machine.stats();
+    cost.vector_work = vl::stats();
+    span.counter("elements", cost.vector_work.element_work);
+    span.counter("segments", cost.vector_work.segment_work);
+    span.counter("instructions", cost.vm_ops.instructions);
+    span.counter("calls", cost.vm_ops.calls);
+  }
+  publish_metrics(cost, "vm");
+  return kernels::to_boxed(out, result);
+}
+
+/// One run on the reference interpreter: function `name` of `compiled`
+/// (its entry expression when null) under one "run" span, publishing the
+/// ref.* metrics into `cost`.
+Value run_reference_once(const xform::Compiled& compiled,
+                         const std::string* name, const ValueList& args,
+                         RunCost& cost) {
+  cost = RunCost{};
+  interp::Interpreter interp(compiled.checked);
+  Value result;
+  {
+    obs::Span span("run", "run.reference");
+    result = name != nullptr ? interp.call_function(*name, args)
+                             : interp.eval(compiled.entry_checked);
+    cost.reference = interp.stats();
+    span.counter("iterations", cost.reference.iterations);
+    span.counter("scalar_ops", cost.reference.scalar_ops);
+    span.counter("calls", cost.reference.calls);
+  }
+  publish_metrics(cost, "ref");
+  return result;
+}
+
+}  // namespace
 
 Session::Session(std::string_view program_source,
                  std::string_view entry_source,
@@ -59,42 +110,65 @@ TypePtr Session::result_type(const std::string& name) const {
   return checked_fun(name).result;
 }
 
-Value Session::run_ladder(std::vector<Rung> rungs) {
+Value Session::run_ladder(bool vm, const std::string* name,
+                          const FunDef* fun, const ValueList& args) {
   cost_ = RunCost{};
   degradations_.clear();
   RunScope tracing(tracer_);
   // One governor scope spans the whole ladder: a fallback attempt runs
   // under the same deadline and budget as the attempt it replaces.
   rt::GovernorScope governor(budget_);
+  // The rungs, in order: the two VM modules (the -O0 one only when it is
+  // distinct), then the interpreter, which is also the only rung of a
+  // reference run.
+  const std::shared_ptr<const vm::Module>& o1 = compiled_->module;
+  const std::shared_ptr<const vm::Module>& o0 = compiled_->module_o0;
+  const std::size_t n_vm = !vm ? 0 : (o0 != nullptr && o0 != o1) ? 2 : 1;
+  static constexpr const char* kVmRungs[2] = {"vm", "vm-o0"};
   // rt.* events are buffered here and merged after publish_metrics (which
   // clears the registry) so they survive into last_cost().metrics.
   std::map<std::string, std::uint64_t> rt_events;
   auto merge_events = [&] {
-    for (const auto& [name, count] : rt_events) cost_.metrics.add(name, count);
+    for (const auto& [event, count] : rt_events) cost_.metrics.add(event, count);
   };
   for (std::size_t i = 0;; ++i) {
-    const Rung& rung = rungs[i];
+    const char* engine = i < n_vm ? kVmRungs[i] : "interp";
     try {
-      Value result = rung.run();
+      Value result;
+      if (i < n_vm) {
+        const vm::VMOptions options{prim_options_, vm_profile_,
+                                    /*verify=*/false, vm_arena_,
+                                    vm_admission_};
+        // The pipeline already bytecode-verified the modules at assembly
+        // time; re-verifying on every run would tax the dispatch benches.
+        result = run_vm_once(
+            i == 0 ? o1 : o0, options, fun != nullptr ? &fun->name : nullptr,
+            args, [fun](std::size_t k) -> const TypePtr& {
+              return fun->params[k].type;
+            },
+            fun != nullptr ? fun->result : compiled_->entry_checked->type,
+            cost_);
+      } else {
+        result = run_reference_once(*compiled_, name, args, cost_);
+      }
       merge_events();
       return result;
     } catch (const rt::RuntimeTrap& trap) {
       rt_events[std::string("rt.trap.") + trap_code(trap.trap())] += 1;
-      const bool can_retry = fallback_ && i + 1 < rungs.size() &&
-                             rt::retryable(trap.trap());
+      const bool can_retry =
+          fallback_ && i < n_vm && rt::retryable(trap.trap());
       if (!can_retry) {
-        degradations_.push_back(std::string("trap in ") + rung.engine + ": " +
+        degradations_.push_back(std::string("trap in ") + engine + ": " +
                                 trap.what());
         merge_events();
         throw;
       }
-      const Rung& next = rungs[i + 1];
-      rt_events[std::string("rt.fallback.") + rung.engine] += 1;
-      degradations_.push_back(std::string(rung.engine) + " -> " + next.engine +
+      const char* next = i + 1 < n_vm ? kVmRungs[i + 1] : "interp";
+      rt_events[std::string("rt.fallback.") + engine] += 1;
+      degradations_.push_back(std::string(engine) + " -> " + next +
                               " after " + trap.what());
       if (obs::Tracer* t = obs::tracer()) {
-        t->instant("run", std::string("rt.fallback.") + rung.engine,
-                   trap.what());
+        t->instant("run", std::string("rt.fallback.") + engine, trap.what());
       }
     }
   }
@@ -102,273 +176,26 @@ Value Session::run_ladder(std::vector<Rung> rungs) {
 
 Value Session::run_reference(const std::string& name,
                              const ValueList& args) {
-  Rung rung{"interp", [this, &name, &args] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.call_function(name, args);
-      cost_.reference = interp.stats();
-      span.counter("iterations", cost_.reference.iterations);
-      span.counter("scalar_ops", cost_.reference.scalar_ops);
-      span.counter("calls", cost_.reference.calls);
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  }};
-  std::vector<Rung> rungs;
-  rungs.push_back(std::move(rung));
-  return run_ladder(std::move(rungs));
-}
-
-Value Session::run_vector(const std::string& name, const ValueList& args) {
-  const FunDef& f = checked_fun(name);
-  PROTEUS_REQUIRE(EvalError, f.params.size() == args.size(),
-                  "'" + name + "' called with wrong argument count");
-  auto exec_attempt = [this, &f, &name, &args] {
-    cost_ = RunCost{};
-    std::vector<exec::VValue> vargs;
-    vargs.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      vargs.push_back(exec::from_boxed(args[i], f.params[i].type));
-    }
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.call_function(name, vargs);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("prims", cost_.vector_work.primitive_calls);
-      span.counter("calls", cost_.vector_ops.calls);
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, f.result);
-  };
-  auto interp_attempt = [this, &name, &args] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.call_function(name, args);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  return run_ladder(/*vm=*/false, &name, nullptr, args);
 }
 
 Value Session::run_vm(const std::string& name, const ValueList& args) {
   const FunDef& f = checked_fun(name);
   PROTEUS_REQUIRE(EvalError, f.params.size() == args.size(),
                   "'" + name + "' called with wrong argument count");
-  auto vm_attempt = [this, &f, &name, &args](
-                        const std::shared_ptr<const vm::Module>& module) {
-    cost_ = RunCost{};
-    std::vector<exec::VValue> vargs;
-    vargs.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      vargs.push_back(exec::from_boxed(args[i], f.params[i].type));
-    }
-    // The pipeline already bytecode-verified the module at assembly
-    // time; re-verifying on every run would tax the dispatch benches.
-    vm::VM machine(module, {prim_options_, vm_profile_, /*verify=*/false,
-                            vm_arena_, vm_admission_});
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vm");
-      result = machine.call_function(name, std::move(vargs));
-      cost_.vm_ops = machine.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("instructions", cost_.vm_ops.instructions);
-      span.counter("calls", cost_.vm_ops.calls);
-    }
-    publish_metrics(cost_, "vm");
-    return exec::to_boxed(result, f.result);
-  };
-  auto exec_attempt = [this, &f, &name, &args] {
-    cost_ = RunCost{};
-    std::vector<exec::VValue> vargs;
-    vargs.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      vargs.push_back(exec::from_boxed(args[i], f.params[i].type));
-    }
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.call_function(name, vargs);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, f.result);
-  };
-  auto interp_attempt = [this, &name, &args] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.call_function(name, args);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"vm", [vm_attempt, this] {
-    return vm_attempt(compiled_->module);
-  }});
-  if (compiled_->module_o0 != nullptr &&
-      compiled_->module_o0 != compiled_->module) {
-    rungs.push_back({"vm-o0", [vm_attempt, this] {
-      return vm_attempt(compiled_->module_o0);
-    }});
-  }
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  return run_ladder(/*vm=*/true, &name, &f, args);
 }
 
 Value Session::run_entry_reference() {
   PROTEUS_REQUIRE(EvalError, compiled_->entry_checked != nullptr,
                   "session was created without an entry expression");
-  Rung rung{"interp", [this] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.eval(compiled_->entry_checked);
-      cost_.reference = interp.stats();
-      span.counter("iterations", cost_.reference.iterations);
-      span.counter("scalar_ops", cost_.reference.scalar_ops);
-      span.counter("calls", cost_.reference.calls);
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  }};
-  std::vector<Rung> rungs;
-  rungs.push_back(std::move(rung));
-  return run_ladder(std::move(rungs));
-}
-
-Value Session::run_entry_vector() {
-  PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
-                  "session was created without an entry expression");
-  auto exec_attempt = [this] {
-    cost_ = RunCost{};
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.eval(compiled_->entry_vec);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("prims", cost_.vector_work.primitive_calls);
-      span.counter("calls", cost_.vector_ops.calls);
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, compiled_->entry_checked->type);
-  };
-  auto interp_attempt = [this] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.eval(compiled_->entry_checked);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  return run_ladder(/*vm=*/false, nullptr, nullptr, {});
 }
 
 Value Session::run_entry_vm() {
   PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
                   "session was created without an entry expression");
-  auto vm_attempt = [this](const std::shared_ptr<const vm::Module>& module) {
-    cost_ = RunCost{};
-    // The pipeline already bytecode-verified the module at assembly
-    // time; re-verifying on every run would tax the dispatch benches.
-    vm::VM machine(module, {prim_options_, vm_profile_, /*verify=*/false,
-                            vm_arena_, vm_admission_});
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vm");
-      result = machine.eval_entry();
-      cost_.vm_ops = machine.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("instructions", cost_.vm_ops.instructions);
-      span.counter("calls", cost_.vm_ops.calls);
-    }
-    publish_metrics(cost_, "vm");
-    return exec::to_boxed(result, compiled_->entry_checked->type);
-  };
-  auto exec_attempt = [this] {
-    cost_ = RunCost{};
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.eval(compiled_->entry_vec);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, compiled_->entry_checked->type);
-  };
-  auto interp_attempt = [this] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.eval(compiled_->entry_checked);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"vm", [vm_attempt, this] {
-    return vm_attempt(compiled_->module);
-  }});
-  if (compiled_->module_o0 != nullptr &&
-      compiled_->module_o0 != compiled_->module) {
-    rungs.push_back({"vm-o0", [vm_attempt, this] {
-      return vm_attempt(compiled_->module_o0);
-    }});
-  }
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  return run_ladder(/*vm=*/true, nullptr, nullptr, {});
 }
 
 ModuleRunner::ModuleRunner(std::shared_ptr<const vm::Module> module)
@@ -398,32 +225,17 @@ Value ModuleRunner::run_at(std::uint32_t index, const ValueList& args) {
                       "' (internal functions are not callable)");
   PROTEUS_REQUIRE(EvalError, sig->params.size() == args.size(),
                   "'" + name + "' called with wrong argument count");
-  cost_ = RunCost{};
   RunScope tracing(tracer_);
   rt::GovernorScope governor(budget_);
-  std::vector<exec::VValue> vargs;
-  vargs.reserve(args.size());
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    vargs.push_back(exec::from_boxed(args[i], sig->params[i]));
-  }
   // Verification happened at load (vm::load_module); re-verifying per run
   // would defeat the point of caching the module.
-  vm::VM machine(module_, {prim_options_, /*profile=*/false,
-                           /*verify=*/false, vm_arena_, vm_admission_});
-  vl::reset_stats();
-  exec::VValue result;
-  {
-    obs::Span span("run", "run.vm");
-    result = machine.call_function(name, std::move(vargs));
-    cost_.vm_ops = machine.stats();
-    cost_.vector_work = vl::stats();
-    span.counter("elements", cost_.vector_work.element_work);
-    span.counter("segments", cost_.vector_work.segment_work);
-    span.counter("instructions", cost_.vm_ops.instructions);
-    span.counter("calls", cost_.vm_ops.calls);
-  }
-  publish_metrics(cost_, "vm");
-  return exec::to_boxed(result, sig->result);
+  return run_vm_once(
+      module_,
+      {prim_options_, /*profile=*/false, /*verify=*/false, vm_arena_,
+       vm_admission_},
+      &name, args,
+      [sig](std::size_t i) -> const TypePtr& { return sig->params[i]; },
+      sig->result, cost_);
 }
 
 Value parse_value(std::string_view literal) {

@@ -4,14 +4,13 @@
 // whole directed-transformation pipeline of the paper and can run any of
 // its functions (or the optional entry expression) on both engines:
 //
+//   * the bytecode VM (the V program assembled into a VCODE-style linear
+//     instruction stream over the flat representation — the paper's
+//     CVL-level target, and the production engine), and
 //   * the reference interpreter (per-element iterator semantics — the
-//     paper's sequential simulation),
-//   * the vector-model tree executor (flat representation + depth-1
-//     vector primitives, walking the V-form AST), and
-//   * the bytecode VM (the same V program assembled into a VCODE-style
-//     linear instruction stream — the paper's actual CVL-level target).
+//     paper's sequential simulation, and the semantic oracle).
 //
-// All engines take and return boxed interp::Values so results are
+// Both engines take and return boxed interp::Values so results are
 // directly comparable; cost counters for each engine are exposed for the
 // machine-independent measurements the Proteus methodology prescribes.
 //
@@ -20,7 +19,7 @@
 //   proteus::Session s(R"(
 //     fun sqs(n: int): seq(int) = [i <- [1 .. n] : i * i]
 //   )");
-//   auto v = s.run_vector("sqs", {proteus::parse_value("5")});
+//   auto v = s.run_vm("sqs", {proteus::parse_value("5")});
 //   // v == [1,4,9,16,25]
 #pragma once
 
@@ -28,8 +27,8 @@
 #include <string_view>
 #include <vector>
 
-#include "exec/exec.hpp"
 #include "interp/interp.hpp"
+#include "kernels/vvalue.hpp"
 #include "obs/obs.hpp"
 #include "rt/rt.hpp"
 #include "vl/backend.hpp"
@@ -43,11 +42,10 @@ namespace proteus {
 ///
 /// The engine-specific structs stay the fast hot-path counters; after
 /// the run they are published into `metrics` under the unified schema of
-/// docs/OBSERVABILITY.md ("ref.*", "vec.*", "vm.*", "vl.*"), so every
-/// engine reports through the same names and the same exporters.
+/// docs/OBSERVABILITY.md ("ref.*", "vm.*", "vl.*"), so every engine
+/// reports through the same names and the same exporters.
 struct RunCost {
   interp::InterpStats reference;  ///< populated by run_reference
-  exec::ExecStats vector_ops;     ///< populated by run_vector
   vl::VectorStats vector_work;    ///< vl primitive calls / element work
   vm::VMStats vm_ops;             ///< populated by run_vm (per-opcode profile)
   obs::MetricsRegistry metrics;   ///< the unified flat view of the above
@@ -73,21 +71,14 @@ class Session {
   [[nodiscard]] interp::Value run_reference(const std::string& name,
                                             const interp::ValueList& args);
 
-  /// Runs function `name` on the vector-model executor (arguments are
-  /// converted to the flat representation per the function's signature).
-  [[nodiscard]] interp::Value run_vector(const std::string& name,
-                                         const interp::ValueList& args);
-
-  /// Runs function `name` on the bytecode VM (same conversions and
-  /// result as run_vector; per-opcode profile lands in last_cost().vm_ops).
+  /// Runs function `name` on the bytecode VM (arguments are converted to
+  /// the flat representation per the function's signature; the
+  /// per-opcode profile lands in last_cost().vm_ops).
   [[nodiscard]] interp::Value run_vm(const std::string& name,
                                      const interp::ValueList& args);
 
   /// Runs the entry expression on the reference interpreter.
   [[nodiscard]] interp::Value run_entry_reference();
-
-  /// Runs the transformed entry expression on the vector-model executor.
-  [[nodiscard]] interp::Value run_entry_vector();
 
   /// Runs the compiled entry expression on the bytecode VM.
   [[nodiscard]] interp::Value run_entry_vm();
@@ -123,9 +114,8 @@ class Session {
 
   /// Enables/disables the graceful-degradation ladder (default on).
   /// With fallback on, a retryable trap (an injected fault) in the
-  /// optimized VM path retries on the -O0 module, then the tree
-  /// executor, then the reference interpreter; run_vector retries on
-  /// the interpreter. With fallback off, every trap propagates.
+  /// optimized VM path retries on the -O0 module, then on the reference
+  /// interpreter. With fallback off, every trap propagates.
   void set_fallback(bool enabled) { fallback_ = enabled; }
 
   /// Human-readable record of every degradation (and the final trap, if
@@ -151,13 +141,18 @@ class Session {
   [[nodiscard]] lang::TypePtr result_type(const std::string& name) const;
 
  private:
-  struct Rung;  // one engine attempt of the degradation ladder
-
   const lang::FunDef& checked_fun(const std::string& name) const;
-  interp::Value run_ladder(std::vector<Rung> rungs);
+  /// Runs function `name` (the entry expression when null) down the
+  /// degradation ladder (docs/ROBUSTNESS.md): with `vm`, on the VM at
+  /// -O1, then at -O0 when that module is distinct, then on the reference
+  /// interpreter; without, on the interpreter alone. `fun` is `name`'s
+  /// checked definition (null for the entry); the VM converts by it.
+  interp::Value run_ladder(bool vm, const std::string* name,
+                           const lang::FunDef* fun,
+                           const interp::ValueList& args);
 
   std::shared_ptr<const xform::Compiled> compiled_;
-  exec::PrimOptions prim_options_;
+  kernels::PrimOptions prim_options_;
   bool vm_profile_ = false;
   bool vm_arena_ = false;
   bool vm_admission_ = false;
@@ -204,7 +199,7 @@ class ModuleRunner {
                                      const interp::ValueList& args);
 
   std::shared_ptr<const vm::Module> module_;
-  exec::PrimOptions prim_options_;
+  kernels::PrimOptions prim_options_;
   bool vm_arena_ = false;
   bool vm_admission_ = false;
   obs::Tracer* tracer_ = nullptr;

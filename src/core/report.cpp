@@ -2,28 +2,6 @@
 
 namespace proteus {
 
-namespace {
-
-void publish_vl(obs::MetricsRegistry& m, const vl::VectorStats& s) {
-  m.set("vl.primitive_calls", s.primitive_calls);
-  m.set("vl.element_work", s.element_work);
-  m.set("vl.segment_work", s.segment_work);
-  m.set("vl.buffer_allocs", s.buffer_allocs);
-  m.set("vl.arena.recycled", s.arena_recycled);
-  m.set("vl.arena.heap_fallbacks", s.arena_heap_fallbacks);
-  m.set("vl.arena.slots", s.arena_slots);
-  m.set("vl.arena.bytes_planned", s.arena_bytes_planned);
-}
-
-void publish_per_prim(obs::MetricsRegistry& m, std::string_view prefix,
-                      const std::map<lang::Prim, std::uint64_t>& per_prim) {
-  for (const auto& [op, count] : per_prim) {
-    m.set(std::string(prefix) + lang::prim_name(op), count);
-  }
-}
-
-}  // namespace
-
 void publish_metrics(RunCost& cost, std::string_view engine) {
   obs::MetricsRegistry& m = cost.metrics;
   m.clear();
@@ -34,30 +12,30 @@ void publish_metrics(RunCost& cost, std::string_view engine) {
     m.set("ref.calls", cost.reference.calls);
     return;
   }
-  if (engine == "vec") {
-    m.set("vec.calls", cost.vector_ops.calls);
-    m.set("vec.prim_applications", cost.vector_ops.prim_applications);
-    publish_per_prim(m, "vec.prim.", cost.vector_ops.per_prim);
-    publish_vl(m, cost.vector_work);
-    return;
+  m.set("vm.calls", cost.vm_ops.calls);
+  m.set("vm.instructions", cost.vm_ops.instructions);
+  m.set("vm.prim_applications", cost.vm_ops.prim_applications);
+  for (const auto& [op, count] : cost.vm_ops.per_prim) {
+    m.set(std::string("vm.prim.") + lang::prim_name(op), count);
   }
-  if (engine == "vm") {
-    m.set("vm.calls", cost.vm_ops.calls);
-    m.set("vm.instructions", cost.vm_ops.instructions);
-    m.set("vm.prim_applications", cost.vm_ops.prim_applications);
-    publish_per_prim(m, "vm.prim.", cost.vm_ops.per_prim);
-    for (int i = 0; i < vm::kNumOps; ++i) {
-      const vm::OpProfile& p = cost.vm_ops.per_op[static_cast<std::size_t>(i)];
-      if (p.count == 0) continue;
-      const std::string base =
-          std::string("vm.op.") + vm::op_name(static_cast<vm::Op>(i));
-      m.set(base + ".count", p.count);
-      m.set(base + ".work", p.element_work);
-      if (p.nanos != 0) m.set(base + ".ns", p.nanos);
-    }
-    publish_vl(m, cost.vector_work);
-    return;
+  for (int i = 0; i < vm::kNumOps; ++i) {
+    const vm::OpProfile& p = cost.vm_ops.per_op[static_cast<std::size_t>(i)];
+    if (p.count == 0) continue;
+    const std::string base =
+        std::string("vm.op.") + vm::op_name(static_cast<vm::Op>(i));
+    m.set(base + ".count", p.count);
+    m.set(base + ".work", p.element_work);
+    if (p.nanos != 0) m.set(base + ".ns", p.nanos);
   }
+  const vl::VectorStats& s = cost.vector_work;
+  m.set("vl.primitive_calls", s.primitive_calls);
+  m.set("vl.element_work", s.element_work);
+  m.set("vl.segment_work", s.segment_work);
+  m.set("vl.buffer_allocs", s.buffer_allocs);
+  m.set("vl.arena.recycled", s.arena_recycled);
+  m.set("vl.arena.heap_fallbacks", s.arena_heap_fallbacks);
+  m.set("vl.arena.slots", s.arena_slots);
+  m.set("vl.arena.bytes_planned", s.arena_bytes_planned);
 }
 
 void print_stats_text(std::ostream& os, const RunCost& cost,
@@ -73,26 +51,21 @@ void print_stats_text(std::ostream& os, const RunCost& cost,
      << ", element work: " << cost.vector_work.element_work
      << ", segment work: " << cost.vector_work.segment_work
      << ", buffer allocs: " << cost.vector_work.buffer_allocs
-     << ", user calls: "
-     << (engine == "vm" ? cost.vm_ops.calls : cost.vector_ops.calls) << '\n';
+     << ", user calls: " << cost.vm_ops.calls << '\n';
   os << "[stats] instruction mix:";
-  const auto& per_prim =
-      engine == "vm" ? cost.vm_ops.per_prim : cost.vector_ops.per_prim;
-  for (const auto& [op, count] : per_prim) {
+  for (const auto& [op, count] : cost.vm_ops.per_prim) {
     os << ' ' << lang::prim_name(op) << '=' << count;
   }
   os << '\n';
-  if (engine == "vm") {
-    os << "[stats] vm instructions: " << cost.vm_ops.instructions
-       << "; per-opcode count/work/us:";
-    for (int i = 0; i < vm::kNumOps; ++i) {
-      const vm::OpProfile& p = cost.vm_ops.per_op[static_cast<std::size_t>(i)];
-      if (p.count == 0) continue;
-      os << ' ' << vm::op_name(static_cast<vm::Op>(i)) << '=' << p.count
-         << '/' << p.element_work << '/' << p.nanos / 1000;
-    }
-    os << '\n';
+  os << "[stats] vm instructions: " << cost.vm_ops.instructions
+     << "; per-opcode count/work/us:";
+  for (int i = 0; i < vm::kNumOps; ++i) {
+    const vm::OpProfile& p = cost.vm_ops.per_op[static_cast<std::size_t>(i)];
+    if (p.count == 0) continue;
+    os << ' ' << vm::op_name(static_cast<vm::Op>(i)) << '=' << p.count << '/'
+       << p.element_work << '/' << p.nanos / 1000;
   }
+  os << '\n';
   print_histograms_text(os, cost.metrics);
 }
 

@@ -1,6 +1,8 @@
 #include "interp/value.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "vl/check.hpp"
 
@@ -76,11 +78,21 @@ bool operator==(const Value& a, const Value& b) {
 
 namespace {
 
+/// The shortest text that reads back as the same double, marked as a Real
+/// (".0" appended when it would otherwise read as an Int).
+void render_real(Real r, std::ostream& os) {
+  char buf[32];
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, r);
+  const std::string_view text(buf, static_cast<std::size_t>(res.ptr - buf));
+  os << text;
+  if (text.find_first_of(".ein") == std::string_view::npos) os << ".0";
+}
+
 void render(const Value& v, std::ostream& os) {
   if (v.is_int()) {
     os << v.as_int();
   } else if (v.is_real()) {
-    os << v.as_real();
+    render_real(v.as_real(), os);
   } else if (v.is_bool()) {
     os << (v.as_bool() ? "true" : "false");
   } else if (v.is_fun()) {

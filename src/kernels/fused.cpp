@@ -181,46 +181,62 @@ inline void loop1(const void* a, void* d, Size len, F&& f) {
   for (Size i = 0; i < len; ++i) r[i] = f(x[i]);
 }
 
-void run_kern(Kern k, const void* a, const void* b, void* d, Size len) {
-  using vl::detail::checked_div;
-  using vl::detail::checked_mod;
-  switch (k) {
-    case Kern::kAddI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x + y; }); return;
-    case Kern::kSubI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x - y; }); return;
-    case Kern::kMulI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x * y; }); return;
-    case Kern::kDivI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_div(x, y); }); return;
-    case Kern::kModI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_mod(x, y); }); return;
-    case Kern::kMinI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? x : y; }); return;
-    case Kern::kMaxI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? y : x; }); return;
-    case Kern::kEqI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x == y ? 1 : 0); }); return;
-    case Kern::kNeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x != y ? 1 : 0); }); return;
-    case Kern::kLtI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x < y ? 1 : 0); }); return;
-    case Kern::kLeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x <= y ? 1 : 0); }); return;
-    case Kern::kGtI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x > y ? 1 : 0); }); return;
-    case Kern::kGeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x >= y ? 1 : 0); }); return;
-    case Kern::kAddR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x + y; }); return;
-    case Kern::kSubR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x - y; }); return;
-    case Kern::kMulR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x * y; }); return;
-    case Kern::kDivR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x / y; }); return;
-    case Kern::kMinR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? x : y; }); return;
-    case Kern::kMaxR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? y : x; }); return;
-    case Kern::kEqR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x == y ? 1 : 0); }); return;
-    case Kern::kNeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x != y ? 1 : 0); }); return;
-    case Kern::kLtR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x < y ? 1 : 0); }); return;
-    case Kern::kLeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x <= y ? 1 : 0); }); return;
-    case Kern::kGtR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x > y ? 1 : 0); }); return;
-    case Kern::kGeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x >= y ? 1 : 0); }); return;
-    case Kern::kAndB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x && y) ? 1 : 0); }); return;
-    case Kern::kOrB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x || y) ? 1 : 0); }); return;
-    case Kern::kEqB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 0 : 1); }); return;
-    case Kern::kNeB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 1 : 0); }); return;
-    case Kern::kNegI: loop1<Int, Int>(a, d, len, [](Int x) { return -x; }); return;
-    case Kern::kNegR: loop1<Real, Real>(a, d, len, [](Real x) { return -x; }); return;
-    case Kern::kToReal: loop1<Int, Real>(a, d, len, [](Int x) { return static_cast<Real>(x); }); return;
-    case Kern::kToInt: loop1<Real, Int>(a, d, len, [](Real x) { return static_cast<Int>(x); }); return;
-    case Kern::kSqrtR: loop1<Real, Real>(a, d, len, [](Real x) { return std::sqrt(x); }); return;
-    case Kern::kNotB: loop1<Bool, Bool>(a, d, len, [](Bool x) { return Bool(x ? 0 : 1); }); return;
+/// An integer division or remainder over one block. A zero divisor fails
+/// the block (false) instead of throwing: the block may run inside an
+/// OpenMP region, which an exception must not leave.
+template <typename F>
+inline bool loop_nonzero(const void* a, const void* b, void* d, Size len,
+                         F&& f) {
+  const Int* x = static_cast<const Int*>(a);
+  const Int* y = static_cast<const Int*>(b);
+  Int* r = static_cast<Int*>(d);
+  for (Size i = 0; i < len; ++i) {
+    if (y[i] == 0) return false;
+    r[i] = f(x[i], y[i]);
   }
+  return true;
+}
+
+/// Runs kernel `k` over one block; false when a zero divisor failed it.
+bool run_kern(Kern k, const void* a, const void* b, void* d, Size len) {
+  switch (k) {
+    case Kern::kAddI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x + y; }); return true;
+    case Kern::kSubI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x - y; }); return true;
+    case Kern::kMulI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x * y; }); return true;
+    case Kern::kDivI: return loop_nonzero(a, b, d, len, vl::detail::wrapping_div);
+    case Kern::kModI: return loop_nonzero(a, b, d, len, vl::detail::wrapping_mod);
+    case Kern::kMinI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? x : y; }); return true;
+    case Kern::kMaxI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? y : x; }); return true;
+    case Kern::kEqI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x == y ? 1 : 0); }); return true;
+    case Kern::kNeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x != y ? 1 : 0); }); return true;
+    case Kern::kLtI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x < y ? 1 : 0); }); return true;
+    case Kern::kLeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x <= y ? 1 : 0); }); return true;
+    case Kern::kGtI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x > y ? 1 : 0); }); return true;
+    case Kern::kGeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x >= y ? 1 : 0); }); return true;
+    case Kern::kAddR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x + y; }); return true;
+    case Kern::kSubR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x - y; }); return true;
+    case Kern::kMulR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x * y; }); return true;
+    case Kern::kDivR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x / y; }); return true;
+    case Kern::kMinR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? x : y; }); return true;
+    case Kern::kMaxR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? y : x; }); return true;
+    case Kern::kEqR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x == y ? 1 : 0); }); return true;
+    case Kern::kNeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x != y ? 1 : 0); }); return true;
+    case Kern::kLtR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x < y ? 1 : 0); }); return true;
+    case Kern::kLeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x <= y ? 1 : 0); }); return true;
+    case Kern::kGtR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x > y ? 1 : 0); }); return true;
+    case Kern::kGeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x >= y ? 1 : 0); }); return true;
+    case Kern::kAndB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x && y) ? 1 : 0); }); return true;
+    case Kern::kOrB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x || y) ? 1 : 0); }); return true;
+    case Kern::kEqB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 0 : 1); }); return true;
+    case Kern::kNeB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 1 : 0); }); return true;
+    case Kern::kNegI: loop1<Int, Int>(a, d, len, [](Int x) { return -x; }); return true;
+    case Kern::kNegR: loop1<Real, Real>(a, d, len, [](Real x) { return -x; }); return true;
+    case Kern::kToReal: loop1<Int, Real>(a, d, len, [](Int x) { return static_cast<Real>(x); }); return true;
+    case Kern::kToInt: loop1<Real, Int>(a, d, len, [](Real x) { return static_cast<Int>(x); }); return true;
+    case Kern::kSqrtR: loop1<Real, Real>(a, d, len, [](Real x) { return std::sqrt(x); }); return true;
+    case Kern::kNotB: loop1<Bool, Bool>(a, d, len, [](Bool x) { return Bool(x ? 0 : 1); }); return true;
+  }
+  return true;
 }
 
 [[noreturn]] void corrupt() {
@@ -494,10 +510,12 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
     }
     return nullptr;
   };
-  const auto run_block = [&](Size start, std::byte* arena) {
+  // Runs one block; returns the position in `interior` of the node whose
+  // zero divisor failed it, or interior.size().
+  const auto run_block = [&](Size start, std::byte* arena) -> std::size_t {
     const Size len = std::min<Size>(kBlock, n - start);
-    for (const std::size_t k : interior) {
-      const NodePlan& np = plan[k];
+    for (std::size_t j = 0; j < interior.size(); ++j) {
+      const NodePlan& np = plan[interior[j]];
       const void* pa = resolve(np.a, arena, start);
       const void* pb = np.binary ? resolve(np.b, arena, start) : nullptr;
       void* pd = np.is_root
@@ -505,8 +523,9 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
                            static_cast<std::byte*>(out_base) +
                            static_cast<std::size_t>(start) * out_esize)
                      : static_cast<void*>(arena + np.dst_off);
-      run_kern(np.kern, pa, pb, pd, len);
+      if (!run_kern(np.kern, pa, pb, pd, len)) return j;
     }
+    return interior.size();
   };
   for (const std::size_t k : interior) plan[k].dst_off = scratch_off[k];
 
@@ -514,16 +533,21 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
   // Governor check points: throwing across an OpenMP region would
   // terminate the process, so inside the parallel loop threads only
   // *observe* a deferred trip and skip their remaining blocks; the
-  // serial polls before/after the region raise the trap.
+  // serial polls before/after the region raise the trap. A zero divisor
+  // is deferred the same way: the least failing node over all blocks is
+  // the one whose instruction fails first unfused, on either backend.
+  std::size_t failed = interior.size();
   rt::poll("fused");
 #ifdef _OPENMP
   if (vl::detail::use_threads(n)) {
-#pragma omp parallel
+#pragma omp parallel reduction(min : failed)
     {
       std::vector<std::byte> arena(arena_bytes);
 #pragma omp for schedule(static)
       for (Size b = 0; b < n_blocks; ++b) {
-        if (!rt::tripped()) run_block(b * kBlock, arena.data());
+        if (!rt::tripped()) {
+          failed = std::min(failed, run_block(b * kBlock, arena.data()));
+        }
       }
     }
   } else
@@ -532,10 +556,16 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
     std::vector<std::byte> arena(arena_bytes);
     for (Size b = 0; b < n_blocks; ++b) {
       rt::poll("fused");
-      run_block(b * kBlock, arena.data());
+      failed = std::min(failed, run_block(b * kBlock, arena.data()));
     }
   }
   rt::poll("fused");
+  if (failed < interior.size()) {
+    if (plan[interior[failed]].kern == Kern::kDivI) {
+      vl::detail::throw_div_by_zero();
+    }
+    vl::detail::throw_mod_by_zero();
+  }
 
   switch (out_kind) {
     case K::kInt: return VValue::seq(Array::ints(std::move(out_i)));

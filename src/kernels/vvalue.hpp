@@ -1,7 +1,7 @@
-// vvalue.hpp — runtime values of the vector-model engines (the tree
-// executor of exec/ and the bytecode VM of vm/).
+// vvalue.hpp — runtime values of the vector-model engine (the bytecode VM
+// of vm/).
 //
-// Where the reference interpreter boxes every element, these engines keep
+// Where the reference interpreter boxes every element, the VM keeps
 // each sequence in the flat vector representation of Section 4.1: a VValue
 // sequence holds one seq::Array describing all its elements at once. The
 // depth-1 primitive kernels of prims.hpp operate on these arrays with vl

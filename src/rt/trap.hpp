@@ -3,7 +3,7 @@
 //
 // Every resource-limit violation, cooperative cancellation, and injected
 // fault anywhere in the runtime (vl allocation layer, kernel table, VM
-// dispatch loop, tree executors, parser/printer recursion) surfaces as one
+// dispatch loop, interpreter, parser/printer recursion) surfaces as one
 // exception type, RuntimeTrap, carrying a stable trap code (T001-T008),
 // the site that observed it, and the governor's byte/step counters at the
 // moment of the trip — replacing the ad-hoc EvalError throws these paths
@@ -53,7 +53,7 @@ class RuntimeTrap : public Error {
 
   [[nodiscard]] Trap trap() const noexcept { return trap_; }
   [[nodiscard]] const char* code() const noexcept { return trap_code(trap_); }
-  /// Which engine/layer observed the trip ("vm", "exec", "interp",
+  /// Which engine/layer observed the trip ("vm", "interp",
   /// "fused", "vl.alloc", "vl.kernel", "parser", "printer", ...).
   [[nodiscard]] const std::string& site() const noexcept { return site_; }
   /// Governor counters at the moment of the trip.

@@ -70,23 +70,50 @@ Vec<R> zip_sv(T a, const Vec<U>& b, F&& f) {
 
 /// Integer division truncates. A divisor of -1 gives the wrapping
 /// negation, so INT64_MIN / -1 is INT64_MIN (the hardware division
-/// traps on it); see docs/LANGUAGE.md.
-inline Int checked_div(Int a, Int b) {
-  if (b == 0) throw_div_by_zero();
+/// traps on it); see docs/LANGUAGE.md. `b` must not be 0.
+inline Int wrapping_div(Int a, Int b) {
   if (b == -1) {
     return static_cast<Int>(std::uint64_t{0} - static_cast<std::uint64_t>(a));
   }
   return a / b;
 }
 
-/// The remainder of truncating division; 0 for a divisor of -1.
-inline Int checked_mod(Int a, Int b) {
-  if (b == 0) throw_mod_by_zero();
-  if (b == -1) return 0;
-  return a % b;
+/// The remainder of truncating division; 0 for a divisor of -1. `b` must
+/// not be 0.
+inline Int wrapping_mod(Int a, Int b) { return b == -1 ? 0 : a % b; }
+
+inline Int checked_div(Int a, Int b) {
+  if (b == 0) throw_div_by_zero();
+  return wrapping_div(a, b);
 }
 
-inline Real checked_div(Real a, Real b) { return a / b; }
+inline Int checked_mod(Int a, Int b) {
+  if (b == 0) throw_mod_by_zero();
+  return wrapping_mod(a, b);
+}
+
+/// zip of an integer division or remainder `f`: a zero divisor is
+/// recorded at its position, not thrown, inside the loop — an exception
+/// must not leave an OpenMP region — and `fail` raises it after the loop,
+/// so every backend reports the same error.
+template <typename F>
+IntVec zip_nonzero(const IntVec& a, const IntVec& b, const char* name, F&& f,
+                   void (*fail)()) {
+  require_same_length(a, b, name);
+  IntVec out(a.size());
+  const Int* ap = a.data();
+  const Int* bp = b.data();
+  Int* op = out.data();
+  const Size bad = parallel_first_failure(a.size(), [&](Size i) {
+    if (bp[i] == 0) return i;
+    op[i] = f(ap[i], bp[i]);
+    return kNoFailure;
+  });
+  if (bad != kNoFailure) fail();
+  stats().record(a.size());
+  stats().record_alloc(out.recycled());
+  return out;
+}
 
 }  // namespace detail
 
@@ -125,22 +152,30 @@ Vec<T> mul(const Vec<T>& a, T b) {
 
 template <typename T>
 Vec<T> div(const Vec<T>& a, const Vec<T>& b) {
-  return detail::zip<T>(a, b, "div",
-                        [](T x, T y) { return detail::checked_div(x, y); });
+  if constexpr (std::is_same_v<T, Int>) {
+    return detail::zip_nonzero(a, b, "div", detail::wrapping_div,
+                               detail::throw_div_by_zero);
+  } else {
+    return detail::zip<T>(a, b, "div", [](T x, T y) { return x / y; });
+  }
 }
 template <typename T>
 Vec<T> div(const Vec<T>& a, T b) {
-  return detail::zip_vs<T>(a, b,
-                           [](T x, T y) { return detail::checked_div(x, y); });
+  if constexpr (std::is_same_v<T, Int>) {
+    if (b == 0 && a.size() > 0) detail::throw_div_by_zero();
+    return detail::zip_vs<T>(a, b, detail::wrapping_div);
+  } else {
+    return detail::zip_vs<T>(a, b, [](T x, T y) { return x / y; });
+  }
 }
 
 inline IntVec mod(const IntVec& a, const IntVec& b) {
-  return detail::zip<Int>(
-      a, b, "mod", [](Int x, Int y) { return detail::checked_mod(x, y); });
+  return detail::zip_nonzero(a, b, "mod", detail::wrapping_mod,
+                             detail::throw_mod_by_zero);
 }
 inline IntVec mod(const IntVec& a, Int b) {
-  return detail::zip_vs<Int>(
-      a, b, [](Int x, Int y) { return detail::checked_mod(x, y); });
+  if (b == 0 && a.size() > 0) detail::throw_mod_by_zero();
+  return detail::zip_vs<Int>(a, b, detail::wrapping_mod);
 }
 
 template <typename T>

@@ -10,18 +10,22 @@ IntVec lengths_to_offsets(const IntVec& lengths) {
 }
 
 Size lengths_total(const IntVec& lengths) {
+  // The sign check rides along in the reduction: the OR of all lengths is
+  // negative iff one is, and nothing throws inside a parallel region.
+  struct SumOr {
+    Size sum;
+    Int bits;
+  };
   const Int* p = lengths.data();
-  Size total = detail::parallel_reduce(
-      lengths.size(), Size{0},
-      [&](Size i) {
-        PROTEUS_REQUIRE(VectorError, p[i] >= 0,
-                        "descriptor contains a negative length");
-        return Size(p[i]);
-      },
-      [](Size a, Size b) { return a + b; });
+  const SumOr total = detail::parallel_reduce(
+      lengths.size(), SumOr{0, 0},
+      [&](Size i) { return SumOr{Size(p[i]), p[i]}; },
+      [](SumOr a, SumOr b) { return SumOr{a.sum + b.sum, a.bits | b.bits}; });
+  PROTEUS_REQUIRE(VectorError, total.bits >= 0,
+                  "descriptor contains a negative length");
   stats().record(lengths.size());
   stats().record_segments(lengths.size());
-  return total;
+  return total.sum;
 }
 
 IntVec offsets_to_lengths(const IntVec& offsets, Size total) {
@@ -29,12 +33,13 @@ IntVec offsets_to_lengths(const IntVec& offsets, Size total) {
   IntVec lengths(n);
   const Int* op = offsets.data();
   Int* lp = lengths.data();
-  detail::parallel_for(n, [&](Size i) {
+  const Size bad = detail::parallel_first_failure(n, [&](Size i) {
     const Int next = (i + 1 < n) ? op[i + 1] : total;
-    PROTEUS_REQUIRE(VectorError, next >= op[i],
-                    "offsets are not non-decreasing");
     lp[i] = next - op[i];
+    return next >= op[i] ? detail::kNoFailure : i;
   });
+  PROTEUS_REQUIRE(VectorError, bad == detail::kNoFailure,
+                  "offsets are not non-decreasing");
   stats().record(n);
   return lengths;
 }
@@ -46,11 +51,13 @@ BoolVec lengths_to_flags(const IntVec& lengths, Size total) {
   const Int* op = offsets.data();
   const Int* lp = lengths.data();
   Bool* fp = flags.data();
-  detail::parallel_for(lengths.size(), [&](Size s) {
-    PROTEUS_REQUIRE(VectorError, lp[s] > 0,
-                    "zero-length segment has no head-flag encoding");
+  const Size bad = detail::parallel_first_failure(lengths.size(), [&](Size s) {
+    if (lp[s] <= 0) return s;
     fp[op[s]] = 1;
+    return detail::kNoFailure;
   });
+  PROTEUS_REQUIRE(VectorError, bad == detail::kNoFailure,
+                  "zero-length segment has no head-flag encoding");
   stats().record(lengths.size());
   stats().record_segments(lengths.size());
   return flags;

@@ -1,10 +1,10 @@
 // bytecode.hpp — the VCODE-style linear instruction format the bytecode VM
 // executes.
 //
-// The tree executor re-walks the V-form AST on every call: per-node
-// variant dispatch, environment lookups by string, and re-resolution of
-// callee functions at every flattened-recursion level. Historically the
-// paper's T1 target was not a syntax tree but a *linear* segmented-vector
+// Walking the V-form AST on every call would mean per-node variant
+// dispatch, environment lookups by string, and re-resolution of callee
+// functions at every flattened-recursion level. Historically the paper's
+// T1 target was not a syntax tree but a *linear* segmented-vector
 // instruction stream (VCODE over CVL) run by a small abstract machine;
 // this module is that substrate. A V program compiles once into flat
 // code — slot-addressed virtual registers, a constant pool, pre-resolved

@@ -1,5 +1,6 @@
 // End-to-end differential tests: for a battery of P programs, the
-// reference interpreter and the vector-model executor must agree exactly.
+// reference interpreter (the oracle) and the bytecode VM must agree
+// exactly.
 #include <gtest/gtest.h>
 
 #include "testing.hpp"
@@ -163,7 +164,7 @@ TEST(Differential, ReverseAndZip) {
               "[[(1,2),(2,1)],[(5,5)]]");
   expect_both(s, "pal", {val("[1,2,1]")}, "true");
   expect_both(s, "pal", {val("[1,2,2]")}, "false");
-  EXPECT_THROW((void)s.run_vector("zipup", {val("[1]"), val("[1,2]")}),
+  EXPECT_THROW((void)s.run_vm("zipup", {val("[1]"), val("[1,2]")}),
                EvalError);
   EXPECT_THROW((void)s.run_reference("zipup", {val("[1]"), val("[1,2]")}),
                EvalError);
@@ -308,9 +309,9 @@ TEST(Differential, RecursiveScalarFunctionAtDepth1) {
 TEST(Differential, DivisionByMinusOneWraps) {
   // INT64_MIN / -1 overflows, and the hardware division traps on it. The
   // language defines it as the wrapping negation (INT64_MIN), and
-  // INT64_MIN mod -1 as 0 (docs/LANGUAGE.md). The interpreter, the tree
-  // executor, and the VM at -O1 (where x - 1 and the division by a
-  // parameter fuse into one kernel) and at -O0 all agree.
+  // INT64_MIN mod -1 as 0 (docs/LANGUAGE.md). The interpreter and the VM
+  // at -O1 (where x - 1 and the division by a parameter fuse into one
+  // kernel) and at -O0 all agree.
   const char* program = R"(
     fun sdiv(a: int, b: int): int = (a - 1) / b
     fun smod(a: int, b: int): int = (a - 1) mod b
@@ -338,6 +339,52 @@ TEST(Differential, DivisionByMinusOneWraps) {
                 "[-9223372036854775808, -7]");
     expect_both(s, "fmod", {val("[-9223372036854775807, 8]"), val("-1")},
                 "[0, 0]");
+  }
+}
+
+TEST(Differential, ZeroDivisorOnOpenMPRaisesTheSerialError) {
+  // Frames of n >= kParallelGrain thread on the OpenMP backend, and an
+  // exception escaping an OpenMP region terminates the process. Every
+  // engine must instead raise the serial backend's EvalError: the vl
+  // kernels (scalar and vector divisors, -O0) and the fused evaluator
+  // (-O1, where each chain below is one kernel), including which of two
+  // failing operations reports: the first in instruction order, as
+  // unfused. (The interpreter fails at the first failing element instead,
+  // so `both` is checked against the VM alone.)
+  const char* program = R"(
+    fun smod(n: int): seq(int) = [x <- [1 .. n] : x mod 0]
+    fun vdiv(n: int): seq(int) = [x <- [1 .. n] : (x * 3 + 1) / (x - x)]
+    fun late(n: int): seq(int) = [x <- [1 .. n] : (x + 1) / (n - x)]
+    fun both(n: int): seq(int) =
+      [x <- [1 .. n] : (x * 3 + 1) mod (n - x) + x / (x - x)]
+  )";
+  const auto message = [](Session& s, const std::string& fn,
+                          vl::Backend backend, bool vm) -> std::string {
+    vl::BackendGuard guard(backend);
+    try {
+      const interp::ValueList args = {val("5000")};
+      (void)(vm ? s.run_vm(fn, args) : s.run_reference(fn, args));
+    } catch (const EvalError& e) {
+      return e.what();
+    }
+    return {};
+  };
+  xform::PipelineOptions unfused;
+  unfused.optimize_vcode = false;
+  for (const xform::PipelineOptions& options :
+       {xform::PipelineOptions{}, unfused}) {
+    Session s(program, {}, options);
+    EXPECT_EQ(s.compiled().fusion.fused_chains > 0, options.optimize_vcode);
+    for (const std::string fn : {"smod", "vdiv", "late", "both"}) {
+      const std::string serial = message(s, fn, vl::Backend::kSerial, true);
+      if (fn != "both") {
+        EXPECT_EQ(serial, message(s, fn, vl::Backend::kSerial, false)) << fn;
+      }
+      EXPECT_EQ(message(s, fn, vl::Backend::kOpenMP, true), serial) << fn;
+      EXPECT_EQ(serial, fn == "smod" || fn == "both" ? "mod by zero"
+                                                     : "division by zero")
+          << fn;
+    }
   }
 }
 
@@ -400,9 +447,9 @@ TEST(Differential, VectorCostIsDataIndependentInPrimCount) {
   // The number of vector primitives issued depends on the program, not on
   // the data size (work grows, step count does not).
   Session s("fun sqs(n: int): seq(int) = [i <- [1 .. n] : i * i]");
-  (void)s.run_vector("sqs", {val("4")});
+  (void)s.run_vm("sqs", {val("4")});
   auto small = s.last_cost().vector_work.primitive_calls;
-  (void)s.run_vector("sqs", {val("4000")});
+  (void)s.run_vm("sqs", {val("4000")});
   auto large = s.last_cost().vector_work.primitive_calls;
   EXPECT_EQ(small, large);
 }

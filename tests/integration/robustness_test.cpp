@@ -3,7 +3,7 @@
 //
 //   * every trap code T001-T008 is triggered through the public API,
 //   * every ladder rung fires at least once (vm -O1 -> vm -O0 ->
-//     tree executor -> reference interpreter; compile-time -O1 -> -O0),
+//     reference interpreter; compile-time -O1 -> -O0),
 //   * fallback results match the healthy engine byte for byte, and
 //   * an exception-safety sweep checks that injected faults leak nothing
 //     and leave descriptor invariants intact.
@@ -47,7 +47,7 @@ TEST_F(RobustnessTest, MemoryBudgetTrapsT001) {
   b.max_resident_bytes = rt::resident_bytes() + 4096;
   s.set_budget(b);
   try {
-    (void)s.run_vector("sqs", {val("100000")});
+    (void)s.run_vm("sqs", {val("100000")});
     FAIL() << "expected T001";
   } catch (const rt::RuntimeTrap& e) {
     EXPECT_EQ(e.trap(), rt::Trap::kMemory);
@@ -58,7 +58,8 @@ TEST_F(RobustnessTest, MemoryBudgetTrapsT001) {
   EXPECT_EQ(s.last_cost().metrics.get("rt.trap.T001"), 1u);
   // Lifting the budget makes the same call succeed.
   s.set_budget(rt::ExecBudget{});
-  EXPECT_TRUE(s.run_vector("sqs", {val("10")}) == val("[1,4,9,16,25,36,49,64,81,100]"));
+  EXPECT_TRUE(s.run_vm("sqs", {val("10")}) ==
+              val("[1,4,9,16,25,36,49,64,81,100]"));
   EXPECT_TRUE(s.last_degradations().empty());
 }
 
@@ -82,12 +83,10 @@ TEST_F(RobustnessTest, DepthBudgetTrapsT003OnEveryEngine) {
   rt::ExecBudget b;
   b.max_depth = 64;
   s.set_budget(b);
-  for (const char* engine : {"ref", "vec", "vm"}) {
+  for (const std::string engine : {"ref", "vm"}) {
     try {
-      if (engine[0] == 'r') {
+      if (engine == "ref") {
         (void)s.run_reference("spin", {val("0")});
-      } else if (engine[0] == 'v' && engine[1] == 'e') {
-        (void)s.run_vector("spin", {val("0")});
       } else {
         (void)s.run_vm("spin", {val("0")});
       }
@@ -121,13 +120,13 @@ TEST_F(RobustnessTest, CancellationTrapsT005) {
   Session s(kSquares);
   rt::request_cancel();
   try {
-    (void)s.run_vector("sqs", {val("100")});
+    (void)s.run_vm("sqs", {val("100")});
     FAIL() << "expected T005";
   } catch (const rt::RuntimeTrap& e) {
     EXPECT_EQ(e.trap(), rt::Trap::kCancelled);
   }
   rt::clear_cancel();
-  EXPECT_TRUE(s.run_vector("sqs", {val("3")}) == val("[1,4,9]"));
+  EXPECT_TRUE(s.run_vm("sqs", {val("3")}) == val("[1,4,9]"));
 }
 
 TEST_F(RobustnessTest, InjectedAllocFaultPropagatesWithFallbackOff) {
@@ -165,7 +164,7 @@ TEST_F(RobustnessTest, LadderVmO1ToVmO0OnInjectedKernelFault) {
   EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm"), 1u);
 }
 
-TEST_F(RobustnessTest, LadderVmToExecWhenNoOptimizedModule) {
+TEST_F(RobustnessTest, LadderVmToInterpWhenNoOptimizedModule) {
   xform::PipelineOptions options;
   options.optimize_vcode = false;  // -O0: no separate module to retry on
   Session s(kSquares, {}, options);
@@ -178,28 +177,35 @@ TEST_F(RobustnessTest, LadderVmToExecWhenNoOptimizedModule) {
   const interp::Value recovered = s.run_vm("sqs", {val("100")});
   EXPECT_TRUE(recovered == healthy);
   ASSERT_EQ(s.last_degradations().size(), 1u);
-  EXPECT_NE(s.last_degradations()[0].find("vm -> exec"), std::string::npos)
+  EXPECT_NE(s.last_degradations()[0].find("vm -> interp"), std::string::npos)
       << s.last_degradations()[0];
   EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm"), 1u);
 }
 
-TEST_F(RobustnessTest, LadderExecToInterpOnInjectedAllocFault) {
+TEST_F(RobustnessTest, LadderVmO0ToInterpOnInjectedFaults) {
   Session s(kSquares);
-  const interp::Value healthy = s.run_vector("sqs", {val("100")});
+  const interp::Value healthy = s.run_vm("sqs", {val("100")});
 
+  // The alloc fault strikes the -O1 attempt (during argument conversion or
+  // its first kernel allocation); the kernel fault then strikes the -O0
+  // attempt's first kernel. The interpreter never touches vl, so it is
+  // immune to both.
   rt::FaultPlan plan;
   plan.alloc = 1;
+  plan.kernel = 1;
   rt::arm_faults(plan);
-  // The fault strikes during argument conversion or the first kernel
-  // allocation; the interpreter never touches vl, so it is immune.
-  const interp::Value recovered = s.run_vector("sqs", {val("100")});
+  const interp::Value recovered = s.run_vm("sqs", {val("100")});
   EXPECT_TRUE(recovered == healthy);
-  ASSERT_EQ(s.last_degradations().size(), 1u);
-  EXPECT_NE(s.last_degradations()[0].find("exec -> interp"),
-            std::string::npos)
+  ASSERT_EQ(s.last_degradations().size(), 2u);
+  EXPECT_NE(s.last_degradations()[0].find("vm -> vm-o0"), std::string::npos)
       << s.last_degradations()[0];
+  EXPECT_NE(s.last_degradations()[1].find("vm-o0 -> interp"),
+            std::string::npos)
+      << s.last_degradations()[1];
   EXPECT_EQ(s.last_cost().metrics.get("rt.trap.T006"), 1u);
-  EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.exec"), 1u);
+  EXPECT_EQ(s.last_cost().metrics.get("rt.trap.T007"), 1u);
+  EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm"), 1u);
+  EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm-o0"), 1u);
 }
 
 TEST_F(RobustnessTest, CompileTimeO1ToO0OnInjectedOptimizerFault) {
@@ -239,8 +245,8 @@ TEST_F(RobustnessTest, ExceptionSafetySweepUnderAllocInjection) {
   const interp::Value healthy = s.run_vm("qs", {input});
 
   // An array alive across every injected unwind; validated after each.
-  const exec::VValue pristine =
-      exec::from_boxed(val("[[1,2],[3],[4,5,6]]"),
+  const kernels::VValue pristine =
+      kernels::from_boxed(val("[[1,2],[3],[4,5,6]]"),
                        lang::parse_type("seq(seq(int))"));
   for (std::uint64_t nth = 1; nth <= 12; ++nth) {
     rt::FaultPlan plan;
@@ -251,7 +257,7 @@ TEST_F(RobustnessTest, ExceptionSafetySweepUnderAllocInjection) {
     pristine.as_seq().validate();
     // Results that came through a fallback engine still convert to
     // well-formed flat arrays.
-    exec::from_boxed(recovered, lang::parse_type("seq(int)"))
+    kernels::from_boxed(recovered, lang::parse_type("seq(int)"))
         .as_seq()
         .validate();
     rt::disarm_faults();

@@ -5,9 +5,16 @@
 // inputs big enough to actually cross kParallelGrain and take the OpenMP
 // paths. Any divergence means a kernel counts work differently when it
 // parallelises — exactly the bug class this guards against.
+//
+// The golden table below pins the same counters to the values the
+// retired tree-walking executor produced for these programs and inputs
+// (it shared the VM's kernel table, and the two agreed exactly), so the
+// VM's vector-model cost cannot drift unnoticed.
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/report.hpp"
 #include "testing.hpp"
@@ -17,6 +24,14 @@ namespace {
 
 using namespace proteus;
 using proteus::testing::val;
+
+const char* kQs = R"(
+  fun qs(v: seq(int)): seq(int) =
+    if #v <= 1 then v
+    else let p = v[1 + #v / 2] in
+      qs([x <- v | x < p : x]) ++ [x <- v | x == p : x]
+        ++ qs([x <- v | x > p : x])
+)";
 
 const char* kQuicksort = R"(
   fun quicksort(v: seq(int)): seq(int) =
@@ -58,34 +73,82 @@ interp::Value ragged_rows(std::uint64_t seed, int rows, int big_row_len) {
   return interp::Value::seq(std::move(out));
 }
 
-/// Runs `fn(args)` on `engine` under `backend` and returns the full
+/// Runs `fn(args)` on the VM under `backend` and returns the full
 /// published metric registry (deterministic: vm profiling is off, so no
 /// wall-clock keys appear).
 obs::MetricsRegistry::Map run_metrics(Session& session, vl::Backend backend,
-                                      const std::string& engine,
                                       const std::string& fn,
                                       const interp::ValueList& args) {
   vl::BackendGuard guard(backend);
-  if (engine == "vm") {
-    (void)session.run_vm(fn, args);
-  } else {
-    (void)session.run_vector(fn, args);
-  }
+  (void)session.run_vm(fn, args);
   return session.last_cost().metrics.all();
 }
 
 void expect_parity(const char* program, const std::string& fn,
                    const interp::ValueList& args) {
   Session session(program);
-  for (const std::string engine : {"vec", "vm"}) {
-    const auto serial =
-        run_metrics(session, vl::Backend::kSerial, engine, fn, args);
-    const auto openmp =
-        run_metrics(session, vl::Backend::kOpenMP, engine, fn, args);
-    EXPECT_EQ(serial, openmp)
-        << fn << " on " << engine
-        << ": cost counters differ between serial and openmp backends";
-    EXPECT_GT(serial.at("vl.element_work"), 0u) << fn << " on " << engine;
+  const auto serial = run_metrics(session, vl::Backend::kSerial, fn, args);
+  const auto openmp = run_metrics(session, vl::Backend::kOpenMP, fn, args);
+  EXPECT_EQ(serial, openmp)
+      << fn << ": cost counters differ between serial and openmp backends";
+  EXPECT_GT(serial.at("vl.element_work"), 0u) << fn;
+}
+
+struct GoldenCost {
+  const char* program;
+  const char* fn;
+  interp::Value arg;
+  /// vl.primitive_calls, vl.element_work, vm.calls and every vm.prim.*.
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+};
+
+TEST(StatsParity, VmCostMatchesGoldenTable) {
+  const std::vector<GoldenCost> table = {
+      {kQs, "qs", val("[9,4,8,2,7,1,6,3,5]"),
+       {{"vl.primitive_calls", 102}, {"vl.element_work", 467},
+        {"vm.calls", 13}, {"vm.prim.+", 6}, {"vm.prim./", 6},
+        {"vm.prim.<", 6}, {"vm.prim.<=", 13}, {"vm.prim.==", 6},
+        {"vm.prim.>", 6}, {"vm.prim.concat", 12}, {"vm.prim.length", 37},
+        {"vm.prim.range1", 18}, {"vm.prim.restrict", 18},
+        {"vm.prim.seq_index", 24}}},
+      {kQuicksort, "quicksort", random_ints(3, 6000),
+       {{"vl.primitive_calls", 1751}, {"vl.element_work", 2070402},
+        {"vm.calls", 23}, {"vm.prim.+", 22}, {"vm.prim./", 22},
+        {"vm.prim.<", 22}, {"vm.prim.<=", 23}, {"vm.prim.==", 22},
+        {"vm.prim.>", 22}, {"vm.prim.any_true", 44},
+        {"vm.prim.combine", 22}, {"vm.prim.concat", 44},
+        {"vm.prim.dist", 63}, {"vm.prim.empty_frame", 4},
+        {"vm.prim.extract", 147}, {"vm.prim.insert", 84},
+        {"vm.prim.length", 155}, {"vm.prim.not", 22},
+        {"vm.prim.range1", 110}, {"vm.prim.restrict", 106},
+        {"vm.prim.seq_index", 92}, {"vm.prim.seq_index_inner", 84}}},
+      {kRowSums, "rowsums", ragged_rows(7, 64, 8192),
+       {{"vl.primitive_calls", 11}, {"vl.element_work", 42604},
+        {"vm.calls", 1}, {"vm.prim.*", 1}, {"vm.prim.extract", 2},
+        {"vm.prim.insert", 1}, {"vm.prim.length", 2},
+        {"vm.prim.range1", 2}, {"vm.prim.seq_index", 1},
+        {"vm.prim.seq_index_inner", 1}, {"vm.prim.sum", 1}}},
+      {kPrefix, "prefix", random_ints(11, 200),
+       {{"vl.primitive_calls", 6}, {"vl.element_work", 60900},
+        {"vm.calls", 1}, {"vm.prim.extract", 1}, {"vm.prim.insert", 1},
+        {"vm.prim.length", 1}, {"vm.prim.range1", 2},
+        {"vm.prim.seq_index", 1}, {"vm.prim.sum", 1}}},
+  };
+  for (const GoldenCost& row : table) {
+    Session session(row.program);
+    const auto got =
+        run_metrics(session, vl::Backend::kSerial, row.fn, {row.arg});
+    std::size_t prims = 0;
+    for (const auto& [key, want] : row.counters) {
+      ASSERT_TRUE(got.contains(key)) << row.fn << ": no " << key;
+      EXPECT_EQ(got.at(key), want) << row.fn << ": " << key;
+      if (key.rfind("vm.prim.", 0) == 0) prims += 1;
+    }
+    std::size_t got_prims = 0;
+    for (const auto& [key, value] : got) {
+      if (key.rfind("vm.prim.", 0) == 0) got_prims += 1;
+    }
+    EXPECT_EQ(got_prims, prims) << row.fn << ": extra vm.prim.* counters";
   }
 }
 

@@ -1,6 +1,8 @@
 // Tests for boxed values and boxed <-> flat conversions.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "core/proteus.hpp"
@@ -38,6 +40,28 @@ TEST(Value, IntExtremesRoundTripThroughText) {
   EXPECT_THROW((void)parse_value("9223372036854775808"), SyntaxError);
   EXPECT_THROW((void)parse_value("0 - 9223372036854775808"), SyntaxError);
   EXPECT_THROW((void)parse_value("-9223372036854775809"), SyntaxError);
+}
+
+TEST(Value, RealsRoundTripThroughText) {
+  // A rendered Real reads back as the same double, bit for bit (so also
+  // -0.0, which compares equal to 0.0), and always as a Real, never an
+  // Int.
+  for (const vl::Real r : {0.1, 1.0 / 3.0, 1.0, -0.0, 1e-7, 1e300}) {
+    const std::string text = to_text(Value::reals(r));
+    const Value back = parse_value(text);
+    ASSERT_TRUE(back.is_real()) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.as_real()),
+              std::bit_cast<std::uint64_t>(r))
+        << text;
+    const Value xs = Value::seq({Value::reals(r), Value::reals(-r)});
+    EXPECT_EQ(parse_value(to_text(xs)), xs) << to_text(xs);
+  }
+  EXPECT_EQ(to_text(Value::reals(1.0)), "1.0");
+  EXPECT_EQ(to_text(Value::reals(-0.0)), "-0.0");
+  EXPECT_EQ(to_text(Value::reals(0.1)), "0.1");
+  EXPECT_EQ(to_text(Value::reals(1.0 / 3.0)), "0.3333333333333333");
+  EXPECT_EQ(to_text(Value::reals(1e-7)), "1e-07");
+  EXPECT_EQ(to_text(Value::reals(1e300)), "1e+300");
 }
 
 TEST(Value, Equality) {

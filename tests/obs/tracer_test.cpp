@@ -26,7 +26,7 @@ TEST(SpanTest, RecordsSpanWithCounters) {
   Tracer t;
   {
     TracerScope scope(&t);
-    Span span("run", "run.vector");
+    Span span("run", "run.vm");
     EXPECT_TRUE(span.active());
     span.counter("elements", 42);
     span.counter("segments", 7);
@@ -36,7 +36,7 @@ TEST(SpanTest, RecordsSpanWithCounters) {
   const TraceEvent& e = events[0];
   EXPECT_EQ(e.kind, TraceEvent::Kind::kSpan);
   EXPECT_STREQ(e.cat, "run");
-  EXPECT_EQ(e.name, "run.vector");
+  EXPECT_EQ(e.name, "run.vm");
   EXPECT_GT(e.tid, 0u);
   ASSERT_EQ(e.counters.size(), 2u);
   EXPECT_EQ(e.counters[0].first, "elements");

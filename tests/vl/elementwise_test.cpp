@@ -39,6 +39,28 @@ TEST(Elementwise, DivByZeroThrows) {
   EXPECT_THROW((void)mod(IntVec{1}, Int{0}), EvalError);
 }
 
+TEST(Elementwise, ZeroDivisorRaisesTheSerialErrorUnderOpenMP) {
+  // Frames long enough to thread: a zero divisor must be reported after
+  // the parallel loop, with the serial backend's message.
+  const Size n = 3 * kParallelGrain;
+  const IntVec a = seq::random_ints(5, n, -100, 100);
+  IntVec b(n, Int{3});
+  b[n - 11] = 0;
+  const auto message = [&](Backend backend, bool is_mod) -> std::string {
+    BackendGuard guard(backend);
+    try {
+      (void)(is_mod ? mod(a, b) : div(a, b));
+    } catch (const EvalError& e) {
+      return e.what();
+    }
+    return {};
+  };
+  EXPECT_EQ(message(Backend::kSerial, false), "division by zero");
+  EXPECT_EQ(message(Backend::kOpenMP, false), "division by zero");
+  EXPECT_EQ(message(Backend::kSerial, true), "mod by zero");
+  EXPECT_EQ(message(Backend::kOpenMP, true), "mod by zero");
+}
+
 TEST(Elementwise, DivModByMinusOneNeverTraps) {
   constexpr Int kMin = std::numeric_limits<Int>::min();
   constexpr Int kMax = std::numeric_limits<Int>::max();

@@ -1,10 +1,25 @@
 // Unit tests for segment-descriptor encodings and their conversions.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "vl/vl.hpp"
 
 namespace proteus::vl {
 namespace {
+
+/// The message `f` throws under `backend`, or "" when it does not throw.
+template <typename F>
+std::string failure_on(Backend backend, F&& f) {
+  BackendGuard guard(backend);
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return {};
+}
 
 TEST(SegDesc, LengthsToOffsets) {
   EXPECT_EQ(lengths_to_offsets(IntVec{2, 0, 3}), (IntVec{0, 2, 2}));
@@ -54,6 +69,30 @@ TEST(SegDesc, SegmentIds) {
 
 TEST(SegDesc, SegmentRanks) {
   EXPECT_EQ(segment_ranks(IntVec{2, 0, 3}), (IntVec{1, 2, 1, 2, 3}));
+}
+
+TEST(SegDesc, ChecksRaiseTheSerialErrorUnderOpenMP) {
+  // Descriptors long enough to thread: the checks must report after the
+  // parallel loop (an exception inside an OpenMP region terminates the
+  // process), with the serial backend's message.
+  constexpr Size n = 3 * kParallelGrain;
+  IntVec negative(n, Int{1});
+  negative[n - 7] = -1;
+  IntVec unsorted = lengths_to_offsets(IntVec(n, Int{1}));
+  unsorted[n / 2] = 0;
+  IntVec empty_segment(n, Int{1});
+  empty_segment[n / 3] = 0;
+  const auto checks = {
+      std::function<void()>([&] { (void)lengths_total(negative); }),
+      std::function<void()>([&] { (void)offsets_to_lengths(unsorted, n); }),
+      std::function<void()>(
+          [&] { (void)lengths_to_flags(empty_segment, n - 1); }),
+  };
+  for (const auto& check : checks) {
+    const std::string serial = failure_on(Backend::kSerial, check);
+    EXPECT_FALSE(serial.empty());
+    EXPECT_EQ(failure_on(Backend::kOpenMP, check), serial);
+  }
 }
 
 TEST(SegDesc, RequireDescriptor) {

@@ -4,8 +4,7 @@
 //
 //   --entry EXPR       expression to evaluate in the program's scope
 //   --call F A1 A2 ..  call function F with P literals as arguments
-//   --engine E         vec (default) | ref | vm | both (ref vs vec) |
-//                      all (ref vs vec vs vm)
+//   --engine E         vm (default) | ref | both (ref vs vm)
 //   --dump STAGE       print a stage instead of running:
 //                      checked | canon | flat | vec | vcode | trace
 //   --stats[=json]     print cost counters after the run (text to
@@ -43,7 +42,7 @@
 // Examples:
 //   proteusc examples/programs/sort.p --call quicksort '[3,1,2]'
 //   proteusc examples/programs/sort.p --entry '[k <- [1..5] : sqs(k)]' --dump vec
-//   proteusc examples/programs/sort.p --call quicksort '[3,1,2]' --engine vm --stats
+//   proteusc examples/programs/sort.p --call quicksort '[3,1,2]' --engine both --stats
 //   proteusc sort.p --call quicksort '[3,1,2]' --trace-json t.json --stats=json
 #include <chrono>
 #include <cstdint>
@@ -78,8 +77,7 @@ namespace {
       "what to run:\n"
       "  --entry EXPR        evaluate EXPR in the program's scope\n"
       "  --call F A1 A2 ..   call function F with P literals as arguments\n"
-      "  --engine E          vec (default) | ref | vm | both (ref vs vec) |\n"
-      "                      all (ref vs vec vs vm)\n"
+      "  --engine E          vm (default) | ref | both (ref vs vm)\n"
       "  --backend B         serial (default) | openmp - vl execution policy\n"
       "\n"
       "inspection instead of running:\n"
@@ -179,7 +177,7 @@ int main(int argc, char** argv) {
   std::string entry;
   std::string call;
   std::vector<std::string> call_args;
-  std::string engine = "vec";
+  std::string engine = "vm";
   std::string dump;
   bool analyze = false;
   bool analyze_json = false;
@@ -302,15 +300,12 @@ int main(int argc, char** argv) {
     if (!emit_module.empty() || !module_cache.empty()) {
       usage("--load-module cannot combine with --emit-module/--module-cache");
     }
-    if (engine != "vec" && engine != "vm") {
-      usage("module images run on the vm engine only");
-    }
+    if (engine != "vm") usage("module images run on the vm engine only");
   } else if (file.empty()) {
     usage("no input file");
   }
-  if (engine != "vec" && engine != "ref" && engine != "vm" &&
-      engine != "both" && engine != "all") {
-    usage("--engine must be vec, ref, vm, both, or all");
+  if (engine != "vm" && engine != "ref" && engine != "both") {
+    usage("--engine must be vm, ref, or both");
   }
   if (backend == "openmp") {
     proteus::vl::set_backend(proteus::vl::Backend::kOpenMP);
@@ -570,7 +565,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (stats && (engine == "vm" || engine == "all")) {
+    if (stats && engine != "ref") {
       session.set_vm_profile(true);
     }
 
@@ -583,13 +578,11 @@ int main(int argc, char** argv) {
         for (const std::string& lit : call_args) {
           values.push_back(proteus::parse_value(lit));
         }
-        result = eng == "ref"  ? session.run_reference(call, values)
-                 : eng == "vm" ? session.run_vm(call, values)
-                               : session.run_vector(call, values);
+        result = eng == "ref" ? session.run_reference(call, values)
+                              : session.run_vm(call, values);
       } else if (!entry.empty()) {
-        result = eng == "ref"  ? session.run_entry_reference()
-                 : eng == "vm" ? session.run_entry_vm()
-                               : session.run_entry_vector();
+        result = eng == "ref" ? session.run_entry_reference()
+                              : session.run_entry_vm();
       } else {
         usage("nothing to run: give --entry or --call (or --dump)");
       }
@@ -610,29 +603,19 @@ int main(int argc, char** argv) {
     };
 
     proteus::interp::Value final_result;
-    if (engine == "both" || engine == "all") {
+    if (engine == "both") {
       proteus::interp::Value ref = run("ref");
-      proteus::interp::Value vec = run("vec");
-      bool agree = ref == vec;
-      if (engine == "all") {
-        proteus::interp::Value vmv = run("vm");
-        if (!(vec == vmv)) {
-          std::cerr << "proteusc: ENGINE MISMATCH\n  vec: " << vec
-                    << "\n  vm:  " << vmv << '\n';
-          return 1;
-        }
-      }
-      if (!agree) {
+      proteus::interp::Value vmv = run("vm");
+      if (!(ref == vmv)) {
         std::cerr << "proteusc: ENGINE MISMATCH\n  ref: " << ref
-                  << "\n  vec: " << vec << '\n';
+                  << "\n  vm:  " << vmv << '\n';
         return 1;
       }
       if (!stats_json) {
-        std::cout << vec << '\n';
-        std::cerr << (engine == "all" ? "[all] engines agree\n"
-                                      : "[both] engines agree\n");
+        std::cout << vmv << '\n';
+        std::cerr << "[both] engines agree\n";
       }
-      final_result = vec;
+      final_result = vmv;
     } else {
       final_result = run(engine);
       if (!stats_json) std::cout << final_result << '\n';
